@@ -28,15 +28,10 @@
 // Exits non-zero if any query fails with an error other than the structured
 // admission rejection (Unavailable counts as backpressure, not failure).
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,12 +39,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/flags.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
 #include "obs/http_exporter.h"
 #include "server/client.h"
+#include "server/meter_world.h"
 #include "server/query_service.h"
 #include "server/server.h"
 #include "table/schema.h"
@@ -80,68 +75,6 @@ struct Flags {
   int http_port = -1;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
-}
-
-struct BenchWorld {
-  std::filesystem::path dir;
-  std::shared_ptr<fs::MiniDfs> dfs;
-  workload::MeterConfig config;
-  table::TableDesc meter;
-  table::TableDesc user_info;
-  std::shared_ptr<kv::KvStore> store;
-  std::unique_ptr<core::DgfIndex> dgf;
-
-  ~BenchWorld() {
-    if (dir.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-  }
-};
-
-Result<std::unique_ptr<BenchWorld>> BuildBenchWorld(const Flags& flags) {
-  auto world = std::make_unique<BenchWorld>();
-  world->dir = std::filesystem::temp_directory_path() /
-               ("dgf_bench_server_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(world->dir);
-
-  fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = world->dir.string();
-  dfs_options.block_size = 256 * 1024;
-  dfs_options.replication = flags.replication;
-  DGF_ASSIGN_OR_RETURN(world->dfs, fs::MiniDfs::Open(dfs_options));
-
-  world->config.num_users = flags.users;
-  world->config.num_days = flags.days;
-  world->config.num_regions = flags.regions;
-  world->config.extra_metrics = 2;
-  DGF_ASSIGN_OR_RETURN(
-      world->meter, workload::GenerateMeterTable(world->dfs, "/warehouse/meter",
-                                                 world->config));
-  DGF_ASSIGN_OR_RETURN(world->user_info,
-                       workload::GenerateUserInfoTable(
-                           world->dfs, "/warehouse/userinfo", world->config));
-
-  core::DgfBuilder::Options build;
-  build.dims = {
-      {"userId", table::DataType::kInt64, 0, 50},
-      {"regionId", table::DataType::kInt64, 0, 1},
-      {"time", table::DataType::kDate,
-       static_cast<double>(world->config.start_day), 1},
-  };
-  build.precompute = {"sum(powerConsumed)", "count(*)"};
-  build.data_dir = "/warehouse/dgf";
-  world->store = std::make_shared<kv::MemKv>();
-  DGF_ASSIGN_OR_RETURN(world->dgf,
-                       core::DgfBuilder::Build(world->dfs, world->store,
-                                               world->meter, build));
-  return world;
-}
-
 double Percentile(std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0;
   const double rank = p * static_cast<double>(sorted.size() - 1);
@@ -155,59 +88,60 @@ int Main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
     std::string value;
-    if (std::strcmp(argv[i], "--appender") == 0) {
+    bool ok = true;
+    if (ParseFlag(argv[i], "--appender", &value)) {
       flags.appender = true;
     } else if (ParseFlag(argv[i], "--threads", &value)) {
-      flags.threads = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.threads);
     } else if (ParseFlag(argv[i], "--queries", &value)) {
-      flags.queries_per_thread = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.queries_per_thread);
     } else if (ParseFlag(argv[i], "--users", &value)) {
-      flags.users = std::atoll(value.c_str());
+      ok = ParseNumber(value, &flags.users);
     } else if (ParseFlag(argv[i], "--days", &value)) {
-      flags.days = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.days);
     } else if (ParseFlag(argv[i], "--regions", &value)) {
-      flags.regions = std::atoll(value.c_str());
+      ok = ParseNumber(value, &flags.regions);
     } else if (ParseFlag(argv[i], "--max-concurrent", &value)) {
-      flags.max_concurrent = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.max_concurrent);
     } else if (ParseFlag(argv[i], "--max-pending", &value)) {
-      flags.max_pending = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.max_pending);
     } else if (ParseFlag(argv[i], "--shards", &value)) {
-      flags.shards = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.shards);
     } else if (ParseFlag(argv[i], "--replication", &value)) {
-      flags.replication = std::atoi(value.c_str());
-      if (flags.replication < 1) {
-        std::fprintf(stderr, "bad --replication factor: %s\n", value.c_str());
-        return 2;
-      }
+      ok = ParseNumber(value, &flags.replication) && flags.replication >= 1;
     } else if (ParseFlag(argv[i], "--http-port", &value)) {
-      flags.http_port = std::atoi(value.c_str());
+      ok = ParseNumber(value, &flags.http_port);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "bad argument: %s\n"
+                   "usage: bench_server_throughput [--threads=N] "
+                   "[--queries=N] [--appender] [--users=N] [--days=N] "
+                   "[--regions=N] [--max-concurrent=N] [--max-pending=N] "
+                   "[--shards=N] [--replication=K] [--http-port=P]\n",
+                   argv[i]);
       return 2;
     }
   }
 
   // Single-node and sharded paths differ only in who answers the port; the
   // client threads, appender, and reporting below are shared.
-  std::unique_ptr<BenchWorld> world;
+  std::unique_ptr<MeterWorld> world;
   std::unique_ptr<QueryService> service;
   std::unique_ptr<Server> server;
   std::unique_ptr<testing::ShardedCluster> cluster;
   workload::MeterConfig config;
+  config.num_users = flags.users;
+  config.num_days = flags.days;
+  config.num_regions = flags.regions;
+  config.extra_metrics = 2;
   int port = 0;
   if (flags.shards >= 1) {
-    config.num_users = flags.users;
-    config.num_days = flags.days;
-    config.num_regions = flags.regions;
-    config.extra_metrics = 2;
     testing::ShardedCluster::Options cluster_options;
     cluster_options.config = config;
-    cluster_options.dims = {
-        {"userId", table::DataType::kInt64, 0, 50},
-        {"regionId", table::DataType::kInt64, 0, 1},
-        {"time", table::DataType::kDate, static_cast<double>(config.start_day),
-         1},
-    };
+    cluster_options.dims = MeterWorldDims(config.start_day);
     cluster_options.num_shards = flags.shards;
     cluster_options.with_user_info = true;  // join templates need the archive
     cluster_options.replication = flags.replication;
@@ -223,21 +157,18 @@ int Main(int argc, char** argv) {
     cluster = std::move(*started);
     port = cluster->front()->port();
   } else {
-    auto built = BuildBenchWorld(flags);
+    auto built = BuildMeterWorld(config, flags.replication);
     if (!built.ok()) {
       std::fprintf(stderr, "world: %s\n", built.status().ToString().c_str());
       return 1;
     }
     world = std::move(*built);
-    config = world->config;
     QueryService::Options service_options;
     service_options.dfs = world->dfs;
     service_options.max_concurrent = flags.max_concurrent;
     service_options.max_pending = flags.max_pending;
     service = std::make_unique<QueryService>(service_options);
-    service->RegisterTable(world->meter);
-    service->RegisterTable(world->user_info);
-    service->RegisterDgfIndex(world->meter.name, world->dgf.get());
+    world->Register(service.get());
 
     Server::Options server_options;
     server_options.service = service.get();

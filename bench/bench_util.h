@@ -7,6 +7,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "common/temp_dir.h"
 #include "dgf/dgf_builder.h"
 #include "dgf/dgf_index.h"
 #include "exec/cluster.h"
@@ -114,7 +115,7 @@ class MeterBench {
   MeterBench() = default;
 
   Options options_;
-  std::string root_;
+  TempDir root_;  // declared before the handles: removed after they close
   std::shared_ptr<fs::MiniDfs> dfs_;
   table::TableDesc meter_;
   table::TableDesc meter_rc_;  // RCFile copy (Compact Index base)
@@ -178,7 +179,7 @@ class TpchBench {
  private:
   TpchBench() = default;
 
-  std::string root_;
+  TempDir root_;  // declared before the handles: removed after they close
   std::shared_ptr<fs::MiniDfs> dfs_;
   workload::LineitemConfig config_;
   exec::ClusterConfig cluster_;

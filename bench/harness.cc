@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 
 #include "common/string_util.h"
 #include "kv/mem_kv.h"
@@ -80,12 +79,9 @@ int64_t IntervalCount(IntervalClass c) {
 MeterBench MeterBench::Create(const std::string& tag, Options options) {
   MeterBench bench;
   bench.options_ = options;
-  bench.root_ = (std::filesystem::temp_directory_path() /
-                 ("dgf_bench_" + tag + "_" + std::to_string(::getpid())))
-                    .string();
-  std::filesystem::remove_all(bench.root_);
+  bench.root_ = TempDir("dgf_bench_" + tag);
   fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = bench.root_;
+  dfs_options.root_dir = bench.root_.string();
   dfs_options.block_size = options.block_size;
   bench.dfs_ = CheckOk(fs::MiniDfs::Open(dfs_options), "open dfs");
 
@@ -124,10 +120,6 @@ MeterBench::~MeterBench() {
   compact3_.reset();
   hadoopdb_.reset();
   dfs_.reset();
-  if (!root_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
 }
 
 core::DgfIndex* MeterBench::Dgf(IntervalClass c, exec::JobResult* build_stats) {
@@ -287,12 +279,9 @@ TpchBench TpchBench::Create(const std::string& tag) {
   bench.cluster_.data_scale =
       static_cast<double>(EnvInt("DGF_BENCH_TPCH_TARGET_ROWS", 4100000000LL)) /
       static_cast<double>(bench.config_.num_rows);
-  bench.root_ = (std::filesystem::temp_directory_path() /
-                 ("dgf_bench_" + tag + "_" + std::to_string(::getpid())))
-                    .string();
-  std::filesystem::remove_all(bench.root_);
+  bench.root_ = TempDir("dgf_bench_" + tag);
   fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = bench.root_;
+  dfs_options.root_dir = bench.root_.string();
   dfs_options.block_size =
       static_cast<uint64_t>(EnvInt("DGF_BENCH_BLOCK_BYTES", 1 << 20));
   bench.dfs_ = CheckOk(fs::MiniDfs::Open(dfs_options), "open dfs");
@@ -326,10 +315,6 @@ TpchBench::~TpchBench() {
   compact2_.reset();
   compact3_.reset();
   dfs_.reset();
-  if (!root_.empty()) {
-    std::error_code ec;
-    std::filesystem::remove_all(root_, ec);
-  }
 }
 
 core::DgfIndex* TpchBench::Dgf(exec::JobResult* build_stats) {

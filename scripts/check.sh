@@ -80,6 +80,10 @@ stage "asan kv/dgf tests" ctest --test-dir build-asan -j "$JOBS" \
   --output-on-failure -R 'Kv|Sstable|Lsm|Dgf|Slice|ColFormat|Difftest'
 stage "asan difftest"    ./build-asan/src/dgf_difftest --seed=1 --queries=40
 stage "asan col fuzz"    ./build-asan/src/dgf_difftest --col-fuzz --seed=37
+# Both crash sweeps through the shared RunCrashSweep driver, whose replay
+# callbacks own each schedule's world (LSM store / builder world).
+stage "asan crash sweeps" ./build-asan/src/dgf_difftest --crash-sweep \
+  --builder-crash-sweep --seed=7
 stage "asan server tests" ./build-asan/tests/dgf_server_tests
 stage "asan obs tests"   ./build-asan/tests/dgf_obs_tests
 stage "asan coord tests" ./build-asan/tests/dgf_coord_tests

@@ -786,7 +786,7 @@ Result<uint64_t> Coordinator::Append(const std::string& table,
 
 std::vector<std::pair<std::string, double>> Coordinator::StatsSnapshot()
     const {
-  return server::StatsFromRegistry(metrics_);
+  return metrics_->Snapshot();
 }
 
 void Coordinator::BeginDrain() {

@@ -9,20 +9,24 @@
 //
 // Query output: schema header line, then one pipe-separated line per row,
 // then a `-- stats` trailer with the per-query accounting. `stats` prints
-// the server counters as name=value lines; the HTTP form fetches /stats
-// from a daemon started with --http-port and prints the counters grouped by
-// prefix, with each histogram folded onto one quantile row.
+// the server's metrics registry as name=value lines, sorted: counters such
+// as queries.served and cache.hits / cache.misses, gauges, and each
+// histogram as .count/.sum/.p50/.p95/.p99 (latency.p50 is in seconds). The
+// HTTP form fetches /stats from a daemon started with --http-port and
+// prints the same series grouped by prefix, with each histogram folded onto
+// one quantile row. A malformed flag value (`--port=x`) prints the usage
+// and exits 2.
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/flags.h"
 #include "obs/http_exporter.h"
 #include "query/executor.h"
 #include "server/client.h"
@@ -30,11 +34,12 @@
 namespace dgf::server {
 namespace {
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
+int Usage() {
+  std::fprintf(stderr,
+               "usage: dgf_cli [--port=N|--unix=PATH] [--deadline=SECONDS] "
+               "query|append|stats|ping|shutdown ...\n"
+               "       dgf_cli stats HOST:HTTP_PORT\n");
+  return 2;
 }
 
 int Fail(const Status& status) {
@@ -112,9 +117,10 @@ std::map<std::string, double> ParseFlatJson(const std::string& json) {
 /// host part is accepted for symmetry with --shard endpoints.
 int RunHttpStats(const std::string& endpoint) {
   const size_t colon = endpoint.rfind(':');
-  const int port =
-      colon == std::string::npos ? 0 : std::atoi(endpoint.c_str() + colon + 1);
-  if (port <= 0) {
+  int port = 0;
+  if (colon == std::string::npos ||
+      !ParseNumber(std::string_view(endpoint).substr(colon + 1), &port) ||
+      port <= 0) {
     std::fprintf(stderr, "dgf_cli: bad stats endpoint (want HOST:PORT): %s\n",
                  endpoint.c_str());
     return 2;
@@ -203,25 +209,24 @@ int Main(int argc, char** argv) {
   double deadline = 0;
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    bool ok = true;
     if (ParseFlag(argv[i], "--port", &value)) {
-      port = std::atoi(value.c_str());
+      ok = ParseNumber(value, &port);
     } else if (ParseFlag(argv[i], "--unix", &value)) {
       unix_path = value;
     } else if (ParseFlag(argv[i], "--deadline", &value)) {
-      deadline = std::atof(value.c_str());
+      ok = ParseNumber(value, &deadline);
     } else if (command.empty()) {
       command = argv[i];
     } else {
       args.emplace_back(argv[i]);
     }
+    if (!ok) {
+      std::fprintf(stderr, "dgf_cli: bad argument: %s\n", argv[i]);
+      return Usage();
+    }
   }
-  if (command.empty()) {
-    std::fprintf(stderr,
-                 "usage: dgf_cli [--port=N|--unix=PATH] "
-                 "query|append|stats|ping|shutdown ...\n"
-                 "       dgf_cli stats HOST:HTTP_PORT\n");
-    return 2;
-  }
+  if (command.empty()) return Usage();
   // `stats HOST:PORT` talks HTTP to the observability exporter, not the wire
   // protocol — handle it before dialing the wire endpoint.
   if (command == "stats" && args.size() == 1 &&

@@ -43,25 +43,24 @@
 //   curl -s 127.0.0.1:9641/metrics | grep dgf_coord
 //
 // World shape flags: --users, --days, --regions, --start-day. Service
-// flags: --max-concurrent, --max-pending.
-
-#include <unistd.h>
+// flags: --max-concurrent, --max-pending. An unknown flag or a malformed
+// value (`--max-concurrent=x`) prints the usage and exits 2.
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/flags.h"
+#include "common/string_util.h"
 #include "coord/coordinator.h"
 #include "coord/shard_map.h"
-#include "dgf/dgf_builder.h"
-#include "kv/mem_kv.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "server/client.h"
+#include "server/meter_world.h"
 #include "server/query_service.h"
 #include "server/server.h"
 #include "workload/meter_gen.h"
@@ -96,77 +95,22 @@ struct Flags {
   std::vector<coord::ShardEndpoint> replicas;
 };
 
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  const size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) != 0 || arg[n] != '=') return false;
-  *value = arg + n + 1;
-  return true;
-}
-
-/// The served world; owns the DFS directory and index for the process
-/// lifetime.
-struct DemoWorld {
-  std::filesystem::path dir;
-  std::shared_ptr<fs::MiniDfs> dfs;
+/// The served world's shape; coordinator mode mirrors its schema.
+workload::MeterConfig WorldConfig(const Flags& flags) {
   workload::MeterConfig config;
-  table::TableDesc meter;
-  table::TableDesc user_info;
-  std::shared_ptr<kv::KvStore> store;
-  std::unique_ptr<core::DgfIndex> dgf;
-
-  ~DemoWorld() {
-    if (dir.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-  }
-};
-
-Result<std::unique_ptr<DemoWorld>> BuildDemoWorld(const Flags& flags) {
-  auto world = std::make_unique<DemoWorld>();
-  world->dir = std::filesystem::temp_directory_path() /
-               ("dgf_serverd_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(world->dir);
-
-  fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = world->dir.string();
-  dfs_options.block_size = 256 * 1024;
-  dfs_options.replication = flags.replication;
-  DGF_ASSIGN_OR_RETURN(world->dfs, fs::MiniDfs::Open(dfs_options));
-
-  world->config.num_users = flags.users;
-  world->config.num_days = flags.days;
-  world->config.num_regions = flags.regions;
-  world->config.start_day = flags.start_day;
-  world->config.extra_metrics = 2;
-  DGF_ASSIGN_OR_RETURN(
-      world->meter,
-      workload::GenerateMeterTable(world->dfs, "/warehouse/meter",
-                                   world->config));
-  DGF_ASSIGN_OR_RETURN(world->user_info,
-                       workload::GenerateUserInfoTable(
-                           world->dfs, "/warehouse/userinfo", world->config));
-
-  core::DgfBuilder::Options build;
-  build.dims = {
-      {"userId", table::DataType::kInt64, 0, 50},
-      {"regionId", table::DataType::kInt64, 0, 1},
-      {"time", table::DataType::kDate,
-       static_cast<double>(world->config.start_day), 1},
-  };
-  build.precompute = {"sum(powerConsumed)", "count(*)"};
-  build.data_dir = "/warehouse/dgf";
-  world->store = std::make_shared<kv::MemKv>();
-  DGF_ASSIGN_OR_RETURN(world->dgf,
-                       core::DgfBuilder::Build(world->dfs, world->store,
-                                               world->meter, build));
-  return world;
+  config.num_users = flags.users;
+  config.num_days = flags.days;
+  config.num_regions = flags.regions;
+  config.start_day = flags.start_day;
+  config.extra_metrics = 2;
+  return config;
 }
 
 int RunSmoke() {
   Flags flags;
   flags.users = 60;
   flags.days = 3;
-  auto world = BuildDemoWorld(flags);
+  auto world = BuildMeterWorld(WorldConfig(flags), flags.replication);
   if (!world.ok()) {
     std::fprintf(stderr, "SMOKE FAIL: world: %s\n",
                  world.status().ToString().c_str());
@@ -175,9 +119,7 @@ int RunSmoke() {
   QueryService::Options service_options;
   service_options.dfs = (*world)->dfs;
   QueryService service(service_options);
-  service.RegisterTable((*world)->meter);
-  service.RegisterTable((*world)->user_info);
-  service.RegisterDgfIndex((*world)->meter.name, (*world)->dgf.get());
+  (*world)->Register(&service);
 
   Server::Options server_options;
   server_options.service = &service;
@@ -231,7 +173,7 @@ int RunSmoke() {
 /// snapshot-time callback gauges, so /metrics covers the whole process, not
 /// just what the services record directly.
 void RegisterWorldGauges(obs::MetricsRegistry* registry,
-                         const DemoWorld& world) {
+                         const MeterWorld& world) {
   const auto dfs = world.dfs;
   registry->SetCallback("fs.bytes_written", [dfs] {
     return static_cast<double>(dfs->TotalBytesWritten());
@@ -278,7 +220,7 @@ Result<std::unique_ptr<obs::HttpExporter>> MaybeStartExporter(
 }
 
 int RunServer(const Flags& flags) {
-  auto world = BuildDemoWorld(flags);
+  auto world = BuildMeterWorld(WorldConfig(flags), flags.replication);
   if (!world.ok()) {
     std::fprintf(stderr, "dgf_serverd: %s\n",
                  world.status().ToString().c_str());
@@ -290,9 +232,7 @@ int RunServer(const Flags& flags) {
   service_options.max_pending = flags.max_pending;
   service_options.metrics = obs::MetricsRegistry::Default();
   QueryService service(service_options);
-  service.RegisterTable((*world)->meter);
-  service.RegisterTable((*world)->user_info);
-  service.RegisterDgfIndex((*world)->meter.name, (*world)->dgf.get());
+  (*world)->Register(&service);
   RegisterWorldGauges(service.metrics(), **world);
   auto exporter =
       MaybeStartExporter(flags, service.metrics(), service.trace_log());
@@ -370,7 +310,7 @@ int RunServer(const Flags& flags) {
 }
 
 /// Fronts already-running shard servers with a Coordinator behind a server
-/// speaking the same wire protocol. The catalog mirrors the demo world's
+/// speaking the same wire protocol. The catalog mirrors the served world's
 /// schemas (every shard serves one); only schemas matter to the coordinator,
 /// which never scans local data.
 int RunCoordinator(const Flags& flags) {
@@ -386,9 +326,7 @@ int RunCoordinator(const Flags& flags) {
                  flags.cuts.size());
     return 2;
   }
-  workload::MeterConfig config;
-  config.extra_metrics = 2;  // the demo world's schema shape
-
+  const workload::MeterConfig config = WorldConfig(flags);
   if (!flags.replicas.empty() &&
       flags.replicas.size() != flags.shards.size()) {
     std::fprintf(stderr,
@@ -459,73 +397,80 @@ bool ParseEndpoint(const std::string& value, coord::ShardEndpoint* out) {
   const size_t colon = value.rfind(':');
   if (colon == std::string::npos || colon == 0) return false;
   out->host = value.substr(0, colon);
-  out->port = std::atoi(value.c_str() + colon + 1);
-  return out->port > 0;
+  return ParseNumber(std::string_view(value).substr(colon + 1), &out->port) &&
+         out->port > 0;
+}
+
+/// Comma-separated day numbers.
+bool ParseCuts(const std::string& value, std::vector<int64_t>* cuts) {
+  for (std::string_view field : SplitString(value, ',')) {
+    int64_t cut = 0;
+    if (!ParseNumber(field, &cut)) return false;
+    cuts->push_back(cut);
+  }
+  return true;
+}
+
+int Usage() {
+  std::fprintf(
+      stderr,
+      "usage: dgf_serverd [--port=N | --unix=PATH] [--smoke] [--users=N] "
+      "[--days=N] [--regions=N] [--start-day=DAY] [--replication=K] "
+      "[--replica-port=P] [--http-port=P] [--max-concurrent=N] "
+      "[--max-pending=N]\n"
+      "       dgf_serverd --coordinator --cuts=DAY[,DAY...] "
+      "--shard=HOST:PORT... [--replica=HOST:PORT...] [--port=N] "
+      "[--http-port=P]\n");
+  return 2;
 }
 
 int Main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
     std::string value;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    coord::ShardEndpoint endpoint;
+    bool ok = true;
+    if (ParseFlag(arg, "--smoke", &value)) {
       flags.smoke = true;
-    } else if (std::strcmp(argv[i], "--coordinator") == 0) {
+    } else if (ParseFlag(arg, "--coordinator", &value)) {
       flags.coordinator = true;
-    } else if (ParseFlag(argv[i], "--shard", &value)) {
-      coord::ShardEndpoint endpoint;
-      if (!ParseEndpoint(value, &endpoint)) {
-        std::fprintf(stderr, "bad --shard endpoint: %s\n", value.c_str());
-        return 2;
-      }
-      flags.shards.push_back(std::move(endpoint));
-    } else if (ParseFlag(argv[i], "--replica", &value)) {
-      coord::ShardEndpoint endpoint;
-      if (!ParseEndpoint(value, &endpoint)) {
-        std::fprintf(stderr, "bad --replica endpoint: %s\n", value.c_str());
-        return 2;
-      }
-      flags.replicas.push_back(std::move(endpoint));
-    } else if (ParseFlag(argv[i], "--cuts", &value)) {
-      const char* p = value.c_str();
-      while (*p != '\0') {
-        char* end = nullptr;
-        const long long cut = std::strtoll(p, &end, 10);
-        if (end == p) {
-          std::fprintf(stderr, "bad --cuts list: %s\n", value.c_str());
-          return 2;
-        }
-        flags.cuts.push_back(cut);
-        p = (*end == ',') ? end + 1 : end;
-      }
-    } else if (ParseFlag(argv[i], "--start-day", &value)) {
-      flags.start_day = std::atoll(value.c_str());
-    } else if (ParseFlag(argv[i], "--port", &value)) {
-      flags.port = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--unix", &value)) {
+    } else if (ParseFlag(arg, "--shard", &value)) {
+      ok = ParseEndpoint(value, &endpoint);
+      flags.shards.push_back(endpoint);
+    } else if (ParseFlag(arg, "--replica", &value)) {
+      ok = ParseEndpoint(value, &endpoint);
+      flags.replicas.push_back(endpoint);
+    } else if (ParseFlag(arg, "--cuts", &value)) {
+      ok = ParseCuts(value, &flags.cuts);
+    } else if (ParseFlag(arg, "--start-day", &value)) {
+      ok = ParseNumber(value, &flags.start_day);
+    } else if (ParseFlag(arg, "--port", &value)) {
+      ok = ParseNumber(value, &flags.port);
+    } else if (ParseFlag(arg, "--unix", &value)) {
       flags.unix_path = value;
-    } else if (ParseFlag(argv[i], "--users", &value)) {
-      flags.users = std::atoll(value.c_str());
-    } else if (ParseFlag(argv[i], "--days", &value)) {
-      flags.days = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--regions", &value)) {
-      flags.regions = std::atoll(value.c_str());
-    } else if (ParseFlag(argv[i], "--replication", &value)) {
-      flags.replication = std::atoi(value.c_str());
-      if (flags.replication < 1) {
-        std::fprintf(stderr, "bad --replication factor: %s\n", value.c_str());
-        return 2;
-      }
-    } else if (ParseFlag(argv[i], "--replica-port", &value)) {
-      flags.replica_port = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--http-port", &value)) {
-      flags.http_port = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--max-concurrent", &value)) {
-      flags.max_concurrent = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "--max-pending", &value)) {
-      flags.max_pending = std::atoi(value.c_str());
+    } else if (ParseFlag(arg, "--users", &value)) {
+      ok = ParseNumber(value, &flags.users);
+    } else if (ParseFlag(arg, "--days", &value)) {
+      ok = ParseNumber(value, &flags.days);
+    } else if (ParseFlag(arg, "--regions", &value)) {
+      ok = ParseNumber(value, &flags.regions);
+    } else if (ParseFlag(arg, "--replication", &value)) {
+      ok = ParseNumber(value, &flags.replication) && flags.replication >= 1;
+    } else if (ParseFlag(arg, "--replica-port", &value)) {
+      ok = ParseNumber(value, &flags.replica_port);
+    } else if (ParseFlag(arg, "--http-port", &value)) {
+      ok = ParseNumber(value, &flags.http_port);
+    } else if (ParseFlag(arg, "--max-concurrent", &value)) {
+      ok = ParseNumber(value, &flags.max_concurrent);
+    } else if (ParseFlag(arg, "--max-pending", &value)) {
+      ok = ParseNumber(value, &flags.max_pending);
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "dgf_serverd: bad argument: %s\n", arg);
+      return Usage();
     }
   }
   if (flags.smoke) return RunSmoke();

@@ -1,14 +1,10 @@
 #include "testing/build_equivalence.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -16,6 +12,7 @@
 #include <utility>
 
 #include "common/random.h"
+#include "common/temp_dir.h"
 #include "dgf/dgf_builder.h"
 #include "dgf/dgf_input_format.h"
 #include "kv/mem_kv.h"
@@ -24,27 +21,6 @@
 
 namespace dgf::testing {
 namespace {
-
-/// Held first so the backing directory outlives every handle into it.
-/// Move-only: ownership of the directory travels with the world object.
-struct DirRemover {
-  std::filesystem::path path;
-  DirRemover() = default;
-  DirRemover(DirRemover&& other) noexcept : path(std::move(other.path)) {
-    other.path.clear();
-  }
-  DirRemover& operator=(DirRemover&& other) noexcept {
-    std::swap(path, other.path);
-    return *this;
-  }
-  DirRemover(const DirRemover&) = delete;
-  DirRemover& operator=(const DirRemover&) = delete;
-  ~DirRemover() {
-    if (path.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
 
 /// One built engine variant: format x build_threads over the same dataset.
 struct BuiltIndex {
@@ -117,7 +93,7 @@ bool LinesClose(const std::string& a, const std::string& b) {
 /// The sweep's world: one generated dataset + append batch, shared by every
 /// engine variant built over it.
 struct SweepWorld {
-  DirRemover remover;
+  TempDir dir;
   std::shared_ptr<fs::MiniDfs> dfs;
   workload::MeterConfig base_config;
   workload::MeterConfig append_config;
@@ -148,16 +124,10 @@ Result<SweepWorld> MakeWorld(uint64_t seed) {
   world.append_config.num_days = 1 + static_cast<int>(rng.Uniform(2));
   world.append_config.seed = seed ^ 0xABBAULL;
 
-  static std::atomic<int> counter{0};
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("dgf_buildsweep_" + std::to_string(::getpid()) + "_" +
-       std::to_string(seed) + "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  world.remover.path = dir;
+  world.dir = TempDir("dgf_buildsweep_" + std::to_string(seed));
 
   fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = dir.string();
+  dfs_options.root_dir = world.dir.string();
   dfs_options.block_size = 8192;
   DGF_ASSIGN_OR_RETURN(world.dfs, fs::MiniDfs::Open(dfs_options));
 

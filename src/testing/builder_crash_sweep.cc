@@ -1,11 +1,7 @@
 #include "testing/builder_crash_sweep.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/temp_dir.h"
 #include "dgf/dgf_builder.h"
 #include "dgf/dgf_index.h"
 #include "dgf/dgf_input_format.h"
@@ -20,7 +17,6 @@
 #include "server/query_service.h"
 #include "table/table.h"
 #include "testing/corruption.h"
-#include "testing/crash_point.h"
 #include "workload/meter_gen.h"
 
 namespace dgf::testing {
@@ -35,42 +31,6 @@ constexpr const char* kRequiredPoints[] = {
 
 constexpr const char* kKvDir = "/kv";
 constexpr const char* kDataDir = "/dgf/data";
-
-/// Move-only: ownership of the directory travels with the world object.
-struct DirRemover {
-  std::filesystem::path path;
-  DirRemover() = default;
-  DirRemover(DirRemover&& other) noexcept : path(std::move(other.path)) {
-    other.path.clear();
-  }
-  DirRemover& operator=(DirRemover&& other) noexcept {
-    std::swap(path, other.path);
-    return *this;
-  }
-  DirRemover(const DirRemover&) = delete;
-  DirRemover& operator=(const DirRemover&) = delete;
-  ~DirRemover() {
-    if (path.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
-
-/// One seeded world: base table, two direct append batches, one
-/// group-commit batch (as text lines), and a post-recovery batch.
-struct CrashWorld {
-  DirRemover remover;
-  std::shared_ptr<fs::MiniDfs> dfs;
-  std::shared_ptr<kv::KvStore> store;
-  workload::MeterConfig base_config;
-  table::TableDesc base;
-  std::vector<table::TableDesc> batches;              // direct appends
-  std::vector<workload::MeterConfig> batch_configs;
-  std::vector<std::string> service_lines;             // group-commit append
-  table::TableDesc recover;
-  workload::MeterConfig recover_config;
-  std::vector<core::DimensionPolicy> dims;
-};
 
 Status CollectLines(const workload::MeterConfig& config,
                     std::vector<std::string>* out) {
@@ -91,158 +51,11 @@ Result<std::shared_ptr<kv::KvStore>> OpenStore(
   return std::shared_ptr<kv::KvStore>(std::move(store));
 }
 
-Result<CrashWorld> MakeWorld(uint64_t seed) {
-  CrashWorld world;
-  Random rng(seed * 0x9E3779B97F4A7C15ULL + 0xB01D);
-
-  workload::MeterConfig& config = world.base_config;
-  config.num_users = 10 + static_cast<int64_t>(rng.Uniform(8));
-  config.num_regions = 2;
-  config.num_days = 2;
-  config.readings_per_day = 1;
-  config.extra_metrics = 0;
-  config.seed = seed ^ 0x5EEDULL;
-
-  static std::atomic<int> counter{0};
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("dgf_buildcrash_" + std::to_string(::getpid()) + "_" +
-       std::to_string(seed) + "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  world.remover.path = dir;
-
-  fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = dir.string();
-  dfs_options.block_size = 8192;
-  DGF_ASSIGN_OR_RETURN(world.dfs, fs::MiniDfs::Open(dfs_options));
-  DGF_ASSIGN_OR_RETURN(world.store, OpenStore(world.dfs));
-
-  DGF_ASSIGN_OR_RETURN(
-      world.base, workload::GenerateMeterTable(world.dfs, "/w/meter", config,
-                                               table::FileFormat::kText,
-                                               /*max_file_bytes=*/2048));
-  // Every batch extends the time dimension past everything before it.
-  int64_t next_day = config.start_day + config.num_days;
-  for (int b = 0; b < 2; ++b) {
-    workload::MeterConfig batch_config = config;
-    batch_config.start_day = next_day;
-    batch_config.num_days = 1;
-    batch_config.seed = seed ^ (0x10ULL + static_cast<uint64_t>(b));
-    next_day += 1;
-    DGF_ASSIGN_OR_RETURN(
-        table::TableDesc desc,
-        workload::GenerateMeterTable(world.dfs,
-                                     "/w/batch" + std::to_string(b),
-                                     batch_config, table::FileFormat::kText,
-                                     /*max_file_bytes=*/2048));
-    world.batches.push_back(std::move(desc));
-    world.batch_configs.push_back(batch_config);
-  }
-  workload::MeterConfig service_config = config;
-  service_config.start_day = next_day;
-  service_config.num_days = 1;
-  service_config.seed = seed ^ 0x5E21ULL;
-  next_day += 1;
-  DGF_RETURN_IF_ERROR(CollectLines(service_config, &world.service_lines));
-
-  world.recover_config = config;
-  world.recover_config.start_day = next_day;
-  world.recover_config.num_days = 1;
-  world.recover_config.seed = seed ^ 0x4ECULL;
-  DGF_ASSIGN_OR_RETURN(
-      world.recover,
-      workload::GenerateMeterTable(world.dfs, "/w/recover",
-                                   world.recover_config,
-                                   table::FileFormat::kText,
-                                   /*max_file_bytes=*/2048));
-
-  world.dims = {
-      {"userId", table::DataType::kInt64, 0, 4},
-      {"regionId", table::DataType::kInt64, 0, 1},
-      {"time", table::DataType::kDate,
-       static_cast<double>(config.start_day), 1},
-  };
-  return world;
-}
-
-core::DgfBuilder::Options BuildOptions(const CrashWorld& world) {
-  core::DgfBuilder::Options options;
-  options.dims = world.dims;
-  options.precompute = {"sum(powerConsumed)", "count(*)"};
-  options.data_dir = kDataDir;
-  options.job.num_reducers = 2;
-  options.job.worker_threads = 1;
-  options.split_size = 4096;
-  options.build_threads = 1;  // crash points are single-threaded by design
-  return options;
-}
-
 exec::JobRunner::Options AppendJob() {
   exec::JobRunner::Options job;
   job.num_reducers = 2;
   job.worker_threads = 1;
   return job;
-}
-
-struct WorkloadOutcome {
-  bool built = false;
-  int appends_acked = 0;
-  bool service_acked = false;
-  /// The armed boundary fired (the op that died saw the injected error).
-  bool crashed = false;
-  /// A non-injected failure (a real bug surfacing as an error return).
-  Status error;
-};
-
-/// The seeded workload: Build, two direct Appends, one QueryService
-/// group-commit append. Stops at the first error; the index handle is
-/// dropped on return (the sweep then discards the store too — "the process
-/// died").
-WorkloadOutcome RunBuildWorkload(CrashWorld& world) {
-  WorkloadOutcome out;
-  auto classify = [&](const Status& status) {
-    if (CrashPoints::IsInjectedCrash(status)) {
-      out.crashed = true;
-    } else {
-      out.error = status;
-    }
-  };
-  auto built =
-      core::DgfBuilder::Build(world.dfs, world.store, world.base,
-                              BuildOptions(world));
-  if (!built.ok()) {
-    classify(built.status());
-    return out;
-  }
-  out.built = true;
-  std::unique_ptr<core::DgfIndex> index = std::move(*built);
-  for (const table::TableDesc& batch : world.batches) {
-    auto appended = core::DgfBuilder::Append(index.get(), batch, AppendJob(),
-                                             /*split_size=*/4096,
-                                             /*build_threads=*/1);
-    if (!appended.ok()) {
-      classify(appended.status());
-      return out;
-    }
-    ++out.appends_acked;
-  }
-  {
-    server::QueryService::Options service_options;
-    service_options.dfs = world.dfs;
-    service_options.max_concurrent = 1;
-    service_options.query_worker_threads = 1;
-    service_options.split_size = 4096;
-    server::QueryService service(std::move(service_options));
-    service.RegisterTable(world.base);
-    service.RegisterDgfIndex(world.base.name, index.get());
-    auto appended = service.Append(world.base.name, world.service_lines);
-    if (!appended.ok()) {
-      classify(appended.status());
-      return out;
-    }
-    out.service_acked = true;
-  }
-  return out;
 }
 
 Result<std::map<std::string, std::string>> DumpStore(kv::KvStore* store) {
@@ -298,19 +111,169 @@ Status CompareRows(std::vector<std::string> got,
   return Status::Corruption(what + ": rows differ");
 }
 
-/// The acknowledged-prefix oracle: what a re-opened store must contain.
-Status VerifyRecovered(CrashWorld& world, const WorkloadOutcome& outcome) {
+/// One seeded world: base table, two direct append batches, one
+/// group-commit batch (as text lines), and a post-recovery batch, plus what
+/// the workload acknowledged of them.
+class BuildCrashWorld : public CrashSweepWorld {
+ public:
+  static Result<std::unique_ptr<BuildCrashWorld>> Make(uint64_t seed);
+
+  /// The seeded workload: Build, two direct Appends, one QueryService
+  /// group-commit append. Stops at the first error; the index handle is
+  /// dropped on return (Recover then discards the store too — "the process
+  /// died").
+  Status Run() override;
+
+  /// Reopens the store and checks the acknowledged-prefix oracle:
+  ///   * an interrupted Build publishes nothing;
+  ///   * otherwise full slice scans return exactly the base rows plus every
+  ///     acknowledged batch, and the batch counter matches the publishes;
+  ///   * a retry (re-Build, or a fresh Append) over the crashed state
+  ///     succeeds and yields the correct rows.
+  Status Recover() override;
+
+  const std::shared_ptr<fs::MiniDfs>& dfs() const { return dfs_; }
+  bool built() const { return built_; }
+
+ private:
+  BuildCrashWorld() = default;
+  core::DgfBuilder::Options BuildOptions() const;
+
+  TempDir dir_;
+  std::shared_ptr<fs::MiniDfs> dfs_;
+  std::shared_ptr<kv::KvStore> store_;
+  workload::MeterConfig base_config_;
+  table::TableDesc base_;
+  std::vector<table::TableDesc> batches_;              // direct appends
+  std::vector<workload::MeterConfig> batch_configs_;
+  std::vector<std::string> service_lines_;             // group-commit append
+  table::TableDesc recover_;
+  workload::MeterConfig recover_config_;
+  std::vector<core::DimensionPolicy> dims_;
+  // What the workload acknowledged before it stopped.
+  bool built_ = false;
+  int appends_acked_ = 0;
+  bool service_acked_ = false;
+};
+
+Result<std::unique_ptr<BuildCrashWorld>> BuildCrashWorld::Make(uint64_t seed) {
+  std::unique_ptr<BuildCrashWorld> world(new BuildCrashWorld());
+  Random rng(seed * 0x9E3779B97F4A7C15ULL + 0xB01D);
+
+  workload::MeterConfig& config = world->base_config_;
+  config.num_users = 10 + static_cast<int64_t>(rng.Uniform(8));
+  config.num_regions = 2;
+  config.num_days = 2;
+  config.readings_per_day = 1;
+  config.extra_metrics = 0;
+  config.seed = seed ^ 0x5EEDULL;
+
+  world->dir_ = TempDir("dgf_buildcrash_" + std::to_string(seed));
+  fs::MiniDfs::Options dfs_options;
+  dfs_options.root_dir = world->dir_.string();
+  dfs_options.block_size = 8192;
+  DGF_ASSIGN_OR_RETURN(world->dfs_, fs::MiniDfs::Open(dfs_options));
+  DGF_ASSIGN_OR_RETURN(world->store_, OpenStore(world->dfs_));
+
+  DGF_ASSIGN_OR_RETURN(
+      world->base_,
+      workload::GenerateMeterTable(world->dfs_, "/w/meter", config,
+                                   table::FileFormat::kText,
+                                   /*max_file_bytes=*/2048));
+  // Every batch extends the time dimension past everything before it.
+  int64_t next_day = config.start_day + config.num_days;
+  for (int b = 0; b < 2; ++b) {
+    workload::MeterConfig batch_config = config;
+    batch_config.start_day = next_day;
+    batch_config.num_days = 1;
+    batch_config.seed = seed ^ (0x10ULL + static_cast<uint64_t>(b));
+    next_day += 1;
+    DGF_ASSIGN_OR_RETURN(
+        table::TableDesc desc,
+        workload::GenerateMeterTable(world->dfs_,
+                                     "/w/batch" + std::to_string(b),
+                                     batch_config, table::FileFormat::kText,
+                                     /*max_file_bytes=*/2048));
+    world->batches_.push_back(std::move(desc));
+    world->batch_configs_.push_back(batch_config);
+  }
+  workload::MeterConfig service_config = config;
+  service_config.start_day = next_day;
+  service_config.num_days = 1;
+  service_config.seed = seed ^ 0x5E21ULL;
+  next_day += 1;
+  DGF_RETURN_IF_ERROR(CollectLines(service_config, &world->service_lines_));
+
+  world->recover_config_ = config;
+  world->recover_config_.start_day = next_day;
+  world->recover_config_.num_days = 1;
+  world->recover_config_.seed = seed ^ 0x4ECULL;
+  DGF_ASSIGN_OR_RETURN(
+      world->recover_,
+      workload::GenerateMeterTable(world->dfs_, "/w/recover",
+                                   world->recover_config_,
+                                   table::FileFormat::kText,
+                                   /*max_file_bytes=*/2048));
+
+  world->dims_ = {
+      {"userId", table::DataType::kInt64, 0, 4},
+      {"regionId", table::DataType::kInt64, 0, 1},
+      {"time", table::DataType::kDate,
+       static_cast<double>(config.start_day), 1},
+  };
+  return world;
+}
+
+core::DgfBuilder::Options BuildCrashWorld::BuildOptions() const {
+  core::DgfBuilder::Options options;
+  options.dims = dims_;
+  options.precompute = {"sum(powerConsumed)", "count(*)"};
+  options.data_dir = kDataDir;
+  options.job.num_reducers = 2;
+  options.job.worker_threads = 1;
+  options.split_size = 4096;
+  options.build_threads = 1;  // crash points are single-threaded by design
+  return options;
+}
+
+Status BuildCrashWorld::Run() {
+  auto built = core::DgfBuilder::Build(dfs_, store_, base_, BuildOptions());
+  if (!built.ok()) return built.status();
+  built_ = true;
+  std::unique_ptr<core::DgfIndex> index = std::move(*built);
+  for (const table::TableDesc& batch : batches_) {
+    DGF_RETURN_IF_ERROR(core::DgfBuilder::Append(index.get(), batch,
+                                                 AppendJob(),
+                                                 /*split_size=*/4096,
+                                                 /*build_threads=*/1)
+                            .status());
+    ++appends_acked_;
+  }
+  server::QueryService::Options service_options;
+  service_options.dfs = dfs_;
+  service_options.max_concurrent = 1;
+  service_options.query_worker_threads = 1;
+  service_options.split_size = 4096;
+  server::QueryService service(std::move(service_options));
+  service.RegisterTable(base_);
+  service.RegisterDgfIndex(base_.name, index.get());
+  DGF_RETURN_IF_ERROR(service.Append(base_.name, service_lines_).status());
+  service_acked_ = true;
+  return Status::OK();
+}
+
+Status BuildCrashWorld::Recover() {
   // Simulate the process dying: drop every in-memory handle, then recover
   // from disk alone.
-  world.store.reset();
-  DGF_ASSIGN_OR_RETURN(world.store, OpenStore(world.dfs));
+  store_.reset();
+  DGF_ASSIGN_OR_RETURN(store_, OpenStore(dfs_));
 
   std::vector<std::string> expected;
-  DGF_RETURN_IF_ERROR(CollectLines(world.base_config, &expected));
+  DGF_RETURN_IF_ERROR(CollectLines(base_config_, &expected));
 
-  if (!outcome.built) {
+  if (!built_) {
     // An interrupted build must publish nothing at all.
-    DGF_ASSIGN_OR_RETURN(auto dump, DumpStore(world.store.get()));
+    DGF_ASSIGN_OR_RETURN(auto dump, DumpStore(store_.get()));
     if (!dump.empty()) {
       return Status::Corruption("unpublished build left " +
                                 std::to_string(dump.size()) +
@@ -318,14 +281,12 @@ Status VerifyRecovered(CrashWorld& world, const WorkloadOutcome& outcome) {
     }
     // Recovery liveness: a retry over the crashed state (same store, same
     // data_dir holding the dead attempt's orphan slice files) must succeed.
-    DGF_ASSIGN_OR_RETURN(auto index,
-                         core::DgfBuilder::Build(world.dfs, world.store,
-                                                 world.base,
-                                                 BuildOptions(world)));
+    DGF_ASSIGN_OR_RETURN(
+        auto index,
+        core::DgfBuilder::Build(dfs_, store_, base_, BuildOptions()));
     uint64_t record_total = 0;
-    DGF_ASSIGN_OR_RETURN(auto rows,
-                         ScanIndexRows(world.dfs, world.store.get(),
-                                       world.base.schema, &record_total));
+    DGF_ASSIGN_OR_RETURN(auto rows, ScanIndexRows(dfs_, store_.get(),
+                                                  base_.schema, &record_total));
     DGF_RETURN_IF_ERROR(CompareRows(rows, expected, "rebuilt index"));
     if (record_total != expected.size()) {
       return Status::Corruption("rebuilt record_count mismatch");
@@ -333,19 +294,18 @@ Status VerifyRecovered(CrashWorld& world, const WorkloadOutcome& outcome) {
     return Status::OK();
   }
 
-  for (int b = 0; b < outcome.appends_acked; ++b) {
+  for (int b = 0; b < appends_acked_; ++b) {
     DGF_RETURN_IF_ERROR(
-        CollectLines(world.batch_configs[static_cast<size_t>(b)], &expected));
+        CollectLines(batch_configs_[static_cast<size_t>(b)], &expected));
   }
-  if (outcome.service_acked) {
-    expected.insert(expected.end(), world.service_lines.begin(),
-                    world.service_lines.end());
+  if (service_acked_) {
+    expected.insert(expected.end(), service_lines_.begin(),
+                    service_lines_.end());
   }
 
   uint64_t record_total = 0;
-  DGF_ASSIGN_OR_RETURN(auto rows,
-                       ScanIndexRows(world.dfs, world.store.get(),
-                                     world.base.schema, &record_total));
+  DGF_ASSIGN_OR_RETURN(auto rows, ScanIndexRows(dfs_, store_.get(),
+                                                base_.schema, &record_total));
   DGF_RETURN_IF_ERROR(CompareRows(rows, expected, "recovered index"));
   if (record_total != expected.size()) {
     return Status::Corruption("recovered record_count " +
@@ -355,9 +315,8 @@ Status VerifyRecovered(CrashWorld& world, const WorkloadOutcome& outcome) {
   // The batch counter must reflect exactly the acknowledged publishes:
   // Build publishes "1", every acknowledged append bumps it by one, and the
   // crashed append must not have.
-  const int publishes =
-      outcome.appends_acked + (outcome.service_acked ? 1 : 0);
-  auto batch_key = world.store->Get(core::kMetaBatchKey);
+  const int publishes = appends_acked_ + (service_acked_ ? 1 : 0);
+  auto batch_key = store_->Get(core::kMetaBatchKey);
   if (!batch_key.ok() || *batch_key != std::to_string(1 + publishes)) {
     return Status::Corruption(
         "batch counter " + (batch_key.ok() ? *batch_key : "absent") +
@@ -367,15 +326,14 @@ Status VerifyRecovered(CrashWorld& world, const WorkloadOutcome& outcome) {
   // Recovery liveness: a fresh append over the crashed state (reclaiming any
   // orphan slice files of the dead attempt) must succeed and be exact.
   DGF_ASSIGN_OR_RETURN(auto index,
-                       core::DgfIndex::Open(world.dfs, world.store,
-                                            world.base.schema));
-  DGF_RETURN_IF_ERROR(core::DgfBuilder::Append(index.get(), world.recover,
+                       core::DgfIndex::Open(dfs_, store_, base_.schema));
+  DGF_RETURN_IF_ERROR(core::DgfBuilder::Append(index.get(), recover_,
                                                AppendJob(), /*split_size=*/4096,
                                                /*build_threads=*/1)
                           .status());
-  DGF_RETURN_IF_ERROR(CollectLines(world.recover_config, &expected));
-  DGF_ASSIGN_OR_RETURN(rows, ScanIndexRows(world.dfs, world.store.get(),
-                                           world.base.schema, &record_total));
+  DGF_RETURN_IF_ERROR(CollectLines(recover_config_, &expected));
+  DGF_ASSIGN_OR_RETURN(rows, ScanIndexRows(dfs_, store_.get(), base_.schema,
+                                           &record_total));
   DGF_RETURN_IF_ERROR(CompareRows(rows, expected, "post-recovery append"));
   return Status::OK();
 }
@@ -384,101 +342,48 @@ Status VerifyRecovered(CrashWorld& world, const WorkloadOutcome& outcome) {
 /// attempt and require that (a) nothing was published and (b) the retry
 /// still succeeds — a truncated in-progress build never publishes.
 Status RunTruncationSchedule(uint64_t seed) {
-  DGF_ASSIGN_OR_RETURN(CrashWorld world, MakeWorld(seed));
+  DGF_ASSIGN_OR_RETURN(auto world, BuildCrashWorld::Make(seed));
   CrashPoints::Arm("dgf.build.before_publish", 1);
-  WorkloadOutcome outcome = RunBuildWorkload(world);
+  const Status ran = world->Run();
   const bool fired = CrashPoints::Fired();
   CrashPoints::Disarm();
-  if (!outcome.error.ok()) return outcome.error;
-  if (!fired || outcome.built) {
+  if (!ran.ok() && !CrashPoints::IsInjectedCrash(ran)) return ran;
+  if (!fired || world->built()) {
     return Status::Corruption("dgf.build.before_publish did not fire");
   }
   // The dead attempt's slice files are on the DFS; mangle one.
-  const auto orphans = world.dfs->ListFiles(std::string(kDataDir) + "/");
+  const auto orphans = world->dfs()->ListFiles(std::string(kDataDir) + "/");
   if (orphans.empty()) {
     return Status::Corruption("crashed build left no slice files to truncate");
   }
   const fs::FileStatus& victim = orphans.front();
   DGF_RETURN_IF_ERROR(
-      TruncateFile(world.dfs, victim.path, victim.length / 2));
-  return VerifyRecovered(world, outcome);
+      TruncateFile(world->dfs(), victim.path, victim.length / 2));
+  return world->Recover();
 }
 
 }  // namespace
 
-Result<BuilderCrashSweepReport> RunBuilderCrashSweep(
+Result<CrashSweepReport> RunBuilderCrashSweep(
     const BuilderCrashSweepOptions& options) {
-  BuilderCrashSweepReport report;
+  CrashSweep sweep;
+  sweep.required_points.assign(std::begin(kRequiredPoints),
+                               std::end(kRequiredPoints));
+  sweep.max_occurrences_per_point = options.max_occurrences_per_point;
+  sweep.repro = " [repro: dgf_difftest --builder-crash-sweep --seed=" +
+                std::to_string(options.seed) + "]";
+  sweep.verbose = options.verbose;
+  sweep.make_world = [&]() -> Result<std::unique_ptr<CrashSweepWorld>> {
+    DGF_ASSIGN_OR_RETURN(auto world, BuildCrashWorld::Make(options.seed));
+    return std::unique_ptr<CrashSweepWorld>(std::move(world));
+  };
+  DGF_ASSIGN_OR_RETURN(CrashSweepReport report, RunCrashSweep(sweep));
 
-  // Recording pass: enumerate every dgf.* boundary the workload crosses.
-  std::vector<std::pair<std::string, int>> recorded;
-  {
-    DGF_ASSIGN_OR_RETURN(CrashWorld world, MakeWorld(options.seed));
-    CrashPoints::StartRecording();
-    WorkloadOutcome outcome = RunBuildWorkload(world);
-    recorded = CrashPoints::StopRecording();
-    if (!outcome.error.ok()) return outcome.error;
-    if (outcome.crashed) {
-      return Status::Corruption("recording pass saw an injected crash");
-    }
-  }
-  std::vector<std::pair<std::string, int>> points;
-  for (auto& [point, hits] : recorded) {
-    if (point.rfind("dgf.", 0) == 0) points.emplace_back(point, hits);
-  }
-  report.points_covered = static_cast<int>(points.size());
-  for (const char* required : kRequiredPoints) {
-    bool found = false;
-    for (const auto& [point, hits] : points) found |= point == required;
-    if (!found) {
-      report.failures.push_back(
-          "seed=" + std::to_string(options.seed) +
-          ": workload never reached required crash point " + required);
-    }
-  }
-
-  for (const auto& [point, hits] : points) {
-    const int occurrences =
-        std::min(hits, options.max_occurrences_per_point);
-    for (int occurrence = 1; occurrence <= occurrences; ++occurrence) {
-      DGF_ASSIGN_OR_RETURN(CrashWorld world, MakeWorld(options.seed));
-      CrashPoints::Arm(point, occurrence);
-      WorkloadOutcome outcome = RunBuildWorkload(world);
-      const bool fired = CrashPoints::Fired();
-      CrashPoints::Disarm();
-      ++report.schedules_run;
-      const std::string context = "seed=" + std::to_string(options.seed) +
-                                  " point=" + point + " occurrence=" +
-                                  std::to_string(occurrence);
-      if (!outcome.error.ok()) {
-        report.failures.push_back(context + ": workload error: " +
-                                  outcome.error.ToString());
-        continue;
-      }
-      if (!fired || !outcome.crashed) {
-        report.failures.push_back(context + ": armed point did not fire");
-        continue;
-      }
-      if (options.verbose) {
-        std::fprintf(stderr, "[builder-crash] %s built=%d appends=%d\n",
-                     context.c_str(), outcome.built ? 1 : 0,
-                     outcome.appends_acked);
-      }
-      Status verified = VerifyRecovered(world, outcome);
-      if (!verified.ok()) {
-        report.failures.push_back(context + ": " + verified.ToString());
-      }
-    }
-  }
-
-  {
-    Status truncation = RunTruncationSchedule(options.seed);
-    ++report.schedules_run;
-    if (!truncation.ok()) {
-      report.failures.push_back("seed=" + std::to_string(options.seed) +
-                                " truncation schedule: " +
-                                truncation.ToString());
-    }
+  ++report.schedules_run;
+  if (Status truncation = RunTruncationSchedule(options.seed);
+      !truncation.ok()) {
+    report.failures.push_back("truncation schedule: " + truncation.ToString() +
+                              sweep.repro);
   }
   return report;
 }

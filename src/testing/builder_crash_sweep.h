@@ -2,23 +2,22 @@
 #define DGF_TESTING_BUILDER_CRASH_SWEEP_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/result.h"
+#include "testing/crash_point.h"
 
 namespace dgf::testing {
 
 /// Crash-consistency sweep over the DGFIndex build & append pipeline.
 ///
-/// A recording pass runs a seeded workload once — Build, two direct
-/// DgfBuilder::Appends, one QueryService group-commit append — and
-/// enumerates every `dgf.*` crash boundary it crosses (shard merge, slice
-/// writing, the publish points, the group-commit flush). The sweep then
-/// replays the workload once per (point, occurrence) with that boundary
-/// armed: the op dies there, all in-memory state (index handle, KV store)
-/// is discarded, and the store is re-opened from disk. The recovered index
-/// must be exactly the acknowledged prefix:
+/// Runs a seeded workload — Build, two direct DgfBuilder::Appends, one
+/// QueryService group-commit append — through RunCrashSweep
+/// (testing/crash_point.h), which enumerates every `dgf.*` crash boundary it
+/// crosses (shard merge, slice writing, the publish points, the group-commit
+/// flush) and replays the workload once per (point, occurrence) with that
+/// boundary armed: the op dies there, all in-memory state (index handle, KV
+/// store) is discarded, and the store is re-opened from disk. The recovered
+/// index must be exactly the acknowledged prefix:
 ///
 ///   * an interrupted Build publishes nothing — the store re-opens empty
 ///     (slice files already on the DFS are unreferenced orphans);
@@ -43,18 +42,8 @@ struct BuilderCrashSweepOptions {
   bool verbose = false;
 };
 
-struct BuilderCrashSweepReport {
-  /// Distinct dgf.* crash points the recording pass reached.
-  int points_covered = 0;
-  /// (point, occurrence) schedules replayed (plus the truncation schedule).
-  int schedules_run = 0;
-  /// Human-readable failures, each with a seed repro.
-  std::vector<std::string> failures;
-
-  bool ok() const { return failures.empty(); }
-};
-
-Result<BuilderCrashSweepReport> RunBuilderCrashSweep(
+/// `schedules_run` counts the truncation schedule too.
+Result<CrashSweepReport> RunBuilderCrashSweep(
     const BuilderCrashSweepOptions& options);
 
 }  // namespace dgf::testing

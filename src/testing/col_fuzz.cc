@@ -1,16 +1,13 @@
 #include "testing/col_fuzz.h"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <memory>
 #include <utility>
 
 #include "common/encoding.h"
 #include "common/random.h"
+#include "common/temp_dir.h"
 #include "fs/mini_dfs.h"
 #include "table/col_format.h"
 #include "table/schema.h"
@@ -302,22 +299,13 @@ std::string CraftGroup(int knob, Random& rng, std::string* what) {
 }
 
 struct FuzzWorld {
-  std::filesystem::path dir;
+  TempDir dir;
   std::shared_ptr<fs::MiniDfs> dfs;
-  ~FuzzWorld() {
-    if (dir.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(dir, ec);
-  }
 };
 
 Result<std::unique_ptr<FuzzWorld>> MakeWorld(uint64_t seed) {
   auto world = std::make_unique<FuzzWorld>();
-  static std::atomic<int> counter{0};
-  world->dir = std::filesystem::temp_directory_path() /
-               ("dgf_colfuzz_" + std::to_string(::getpid()) + "_" +
-                std::to_string(seed) + "_" + std::to_string(counter++));
-  std::filesystem::remove_all(world->dir);
+  world->dir = TempDir("dgf_colfuzz_" + std::to_string(seed));
   fs::MiniDfs::Options options;
   options.root_dir = world->dir.string();
   DGF_ASSIGN_OR_RETURN(world->dfs, fs::MiniDfs::Open(options));

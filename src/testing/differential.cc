@@ -1,12 +1,9 @@
 #include "testing/differential.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -14,6 +11,7 @@
 #include <utility>
 
 #include "common/random.h"
+#include "common/temp_dir.h"
 #include "dgf/dgf_builder.h"
 #include "index/bitmap_index.h"
 #include "index/compact_index.h"
@@ -28,23 +26,12 @@ namespace dgf::testing {
 
 using query::AccessPath;
 
-/// Held as the first member of World so the backing directory outlives (and
-/// is removed after) every handle into it.
-struct DirRemover {
-  std::filesystem::path path;
-  ~DirRemover() {
-    if (path.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
-
 /// One seeded world: a randomized meter dataset materialized as an RCFile
 /// base table (Bitmap requires RCFile) with every access path built over it.
 /// The three DGFIndexes (text, rcfile, columnar Slices) live in separate
 /// executors because an executor holds one DGF index per table.
 struct World {
-  DirRemover remover;
+  TempDir dir;
   std::shared_ptr<fs::MiniDfs> dfs;
   workload::MeterConfig config;
   table::TableDesc meter;
@@ -88,16 +75,10 @@ Result<std::unique_ptr<World>> BuildWorld(uint64_t seed, int worker_threads) {
   config.user_skew = (rng.Uniform(2) == 0) ? 0.0 : 0.8;
   config.seed = seed ^ 0xC0FFEEULL;
 
-  static std::atomic<int> counter{0};
-  std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("dgf_difftest_" + std::to_string(::getpid()) + "_" +
-       std::to_string(seed) + "_" + std::to_string(counter++));
-  std::filesystem::remove_all(dir);
-  world->remover.path = dir;
+  world->dir = TempDir("dgf_difftest_" + std::to_string(seed));
 
   fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = dir.string();
+  dfs_options.root_dir = world->dir.string();
   dfs_options.block_size = 16384;
   DGF_ASSIGN_OR_RETURN(world->dfs, fs::MiniDfs::Open(dfs_options));
 

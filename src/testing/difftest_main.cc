@@ -42,15 +42,16 @@
 //   dgf_difftest --duration=SECONDS      open-ended soak over rolling seeds
 //
 // `--seeds=` accepts the fixed `tier1` suite or a number K, which sweeps
-// seeds [--seed, --seed + K) for the selected component.
+// seeds [--seed, --seed + K) for the selected component. An unknown flag or
+// a value that is not wholly a number (`--queries=abc`) prints the usage and
+// exits 2.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
+#include "common/flags.h"
 #include "testing/build_equivalence.h"
 #include "testing/builder_crash_sweep.h"
 #include "testing/col_fuzz.h"
@@ -63,8 +64,9 @@
 
 namespace {
 
+using dgf::ParseFlag;
+using dgf::ParseNumber;
 using dgf::testing::BuilderCrashSweepOptions;
-using dgf::testing::BuilderCrashSweepReport;
 using dgf::testing::BuildSweepOptions;
 using dgf::testing::BuildSweepReport;
 using dgf::testing::ColFuzzOptions;
@@ -76,7 +78,6 @@ using dgf::testing::DiffReport;
 using dgf::testing::FaultReport;
 using dgf::testing::FaultSweepOptions;
 using dgf::testing::NodeCrashSweepOptions;
-using dgf::testing::NodeCrashSweepReport;
 using dgf::testing::ParserFuzzOptions;
 using dgf::testing::ParserFuzzReport;
 using dgf::testing::ShardSweepOptions;
@@ -109,20 +110,6 @@ struct Flags {
   bool no_shrink = false;
   bool verbose = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, const char** value) {
-  const size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -167,23 +154,29 @@ bool RunDiff(const DiffOptions& options) {
   return report->ok();
 }
 
-bool RunCrash(const CrashSweepOptions& options) {
-  auto report = dgf::testing::RunLsmCrashSweep(options);
+/// One stage line for either crash sweep (they share one report type).
+bool ReportCrashSweep(const char* stage, uint64_t seed,
+                      const dgf::Result<CrashSweepReport>& report) {
   if (!report.ok()) {
-    Stage("crash-sweep", false,
-          "seed=" + std::to_string(options.seed) +
+    Stage(stage, false,
+          "seed=" + std::to_string(seed) +
               " harness error: " + report.status().ToString());
     return false;
   }
-  Stage("crash-sweep", report->ok(),
-        "seed=" + std::to_string(options.seed) + " points=" +
+  Stage(stage, report->ok(),
+        "seed=" + std::to_string(seed) + " points=" +
             std::to_string(report->points_covered) + " schedules=" +
             std::to_string(report->schedules_run) + " failures=" +
             std::to_string(report->failures.size()));
   for (const auto& failure : report->failures) {
-    std::printf("CRASH-SWEEP FAILURE: %s\n", failure.c_str());
+    std::printf("%s FAILURE: %s\n", stage, failure.c_str());
   }
   return report->ok();
+}
+
+bool RunCrash(const CrashSweepOptions& options) {
+  return ReportCrashSweep("crash-sweep", options.seed,
+                          dgf::testing::RunLsmCrashSweep(options));
 }
 
 bool RunFaults(const FaultSweepOptions& options) {
@@ -229,22 +222,8 @@ bool RunBuildSweep(const BuildSweepOptions& options) {
 }
 
 bool RunBuilderCrash(const BuilderCrashSweepOptions& options) {
-  auto report = dgf::testing::RunBuilderCrashSweep(options);
-  if (!report.ok()) {
-    Stage("builder-crash", false,
-          "seed=" + std::to_string(options.seed) +
-              " harness error: " + report.status().ToString());
-    return false;
-  }
-  Stage("builder-crash", report->ok(),
-        "seed=" + std::to_string(options.seed) + " points=" +
-            std::to_string(report->points_covered) + " schedules=" +
-            std::to_string(report->schedules_run) + " failures=" +
-            std::to_string(report->failures.size()));
-  for (const auto& failure : report->failures) {
-    std::printf("BUILDER-CRASH FAILURE: %s\n", failure.c_str());
-  }
-  return report->ok();
+  return ReportCrashSweep("builder-crash", options.seed,
+                          dgf::testing::RunBuilderCrashSweep(options));
 }
 
 bool RunFuzz(const ParserFuzzOptions& options) {
@@ -360,54 +339,61 @@ bool RunWire(const WireFuzzOptions& options) {
 int main(int argc, char** argv) {
   Flags flags;
   for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (ParseFlag(argv[i], "--seeds", &value)) {
-      if (value != nullptr && std::strcmp(value, "tier1") == 0) {
+    const char* arg = argv[i];
+    std::string value;
+    bool ok = true;
+    if (ParseFlag(arg, "--seeds", &value)) {
+      int seeds = 0;
+      if (value == "tier1") {
         flags.tier1 = true;
-      } else if (value != nullptr && std::atoi(value) > 0) {
+      } else if (ParseNumber(value, &seeds) && seeds > 0) {
         // `--seeds=K` sweeps K consecutive seeds of the selected component.
-        flags.count = std::atoi(value);
-        flags.diff_seeds = std::atoi(value);
+        flags.count = seeds;
+        flags.diff_seeds = seeds;
       } else {
-        return Usage(argv[0]);
+        ok = false;
       }
-    } else if (ParseFlag(argv[i], "--seed", &value) && value != nullptr) {
-      flags.seed = std::strtoull(value, nullptr, 10);
-    } else if (ParseFlag(argv[i], "--queries", &value) && value != nullptr) {
-      flags.queries = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--case", &value) && value != nullptr) {
-      flags.only_case = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--threads", &value) && value != nullptr) {
-      flags.threads = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--duration", &value) && value != nullptr) {
-      flags.duration = std::atof(value);
-    } else if (ParseFlag(argv[i], "--count", &value) && value != nullptr) {
-      flags.count = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--crash-sweep", &value)) {
+    } else if (ParseFlag(arg, "--seed", &value)) {
+      ok = ParseNumber(value, &flags.seed);
+    } else if (ParseFlag(arg, "--queries", &value)) {
+      ok = ParseNumber(value, &flags.queries);
+    } else if (ParseFlag(arg, "--case", &value)) {
+      ok = ParseNumber(value, &flags.only_case);
+    } else if (ParseFlag(arg, "--threads", &value)) {
+      ok = ParseNumber(value, &flags.threads);
+    } else if (ParseFlag(arg, "--duration", &value)) {
+      ok = ParseNumber(value, &flags.duration);
+    } else if (ParseFlag(arg, "--count", &value)) {
+      ok = ParseNumber(value, &flags.count);
+    } else if (ParseFlag(arg, "--shards", &value)) {
+      ok = ParseNumber(value, &flags.shards);
+    } else if (ParseFlag(arg, "--crash-sweep", &value)) {
       flags.crash_sweep = true;
-    } else if (ParseFlag(argv[i], "--build-sweep", &value)) {
+    } else if (ParseFlag(arg, "--build-sweep", &value)) {
       flags.build_sweep = true;
-    } else if (ParseFlag(argv[i], "--builder-crash-sweep", &value)) {
+    } else if (ParseFlag(arg, "--builder-crash-sweep", &value)) {
       flags.builder_crash_sweep = true;
-    } else if (ParseFlag(argv[i], "--fault-sweep", &value)) {
+    } else if (ParseFlag(arg, "--fault-sweep", &value)) {
       flags.fault_sweep = true;
-    } else if (ParseFlag(argv[i], "--parser-fuzz", &value)) {
+    } else if (ParseFlag(arg, "--parser-fuzz", &value)) {
       flags.parser_fuzz = true;
-    } else if (ParseFlag(argv[i], "--col-fuzz", &value)) {
+    } else if (ParseFlag(arg, "--col-fuzz", &value)) {
       flags.col_fuzz = true;
-    } else if (ParseFlag(argv[i], "--shard-sweep", &value)) {
+    } else if (ParseFlag(arg, "--shard-sweep", &value)) {
       flags.shard_sweep = true;
-    } else if (ParseFlag(argv[i], "--wire-fuzz", &value)) {
+    } else if (ParseFlag(arg, "--wire-fuzz", &value)) {
       flags.wire_fuzz = true;
-    } else if (ParseFlag(argv[i], "--node-crash-sweep", &value)) {
+    } else if (ParseFlag(arg, "--node-crash-sweep", &value)) {
       flags.node_crash_sweep = true;
-    } else if (ParseFlag(argv[i], "--shards", &value) && value != nullptr) {
-      flags.shards = std::atoi(value);
-    } else if (ParseFlag(argv[i], "--no-shrink", &value)) {
+    } else if (ParseFlag(arg, "--no-shrink", &value)) {
       flags.no_shrink = true;
-    } else if (ParseFlag(argv[i], "--verbose", &value)) {
+    } else if (ParseFlag(arg, "--verbose", &value)) {
       flags.verbose = true;
     } else {
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "%s: bad argument: %s\n", argv[0], arg);
       return Usage(argv[0]);
     }
   }

@@ -1,17 +1,13 @@
 #include "testing/lsm_crash_sweep.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
 #include <utility>
 
 #include "common/random.h"
+#include "common/temp_dir.h"
 #include "fs/mini_dfs.h"
 #include "kv/lsm_kv.h"
 #include "testing/crash_point.h"
@@ -70,265 +66,206 @@ std::vector<Op> MakeWorkload(uint64_t seed, int num_ops) {
 /// nullopt = reads NotFound (deleted or never written).
 using OracleState = std::optional<std::string>;
 
-struct WorkloadOutcome {
-  std::map<std::string, OracleState> committed;
-  /// The op that crashed mid-apply, if it was a mutation: the store may
-  /// legally hold either its old or its new state.
-  bool has_in_doubt = false;
-  std::string in_doubt_key;
-  OracleState in_doubt_old;
-  OracleState in_doubt_new;
-  bool crashed = false;
-  /// A non-injected failure (a real bug surfacing as an error return).
-  Status error;
-};
-
-WorkloadOutcome RunWorkload(kv::LsmKv* kv, const std::vector<Op>& ops) {
-  WorkloadOutcome out;
-  for (const Op& op : ops) {
-    Status st;
-    switch (op.kind) {
-      case Op::kPut:
-        st = kv->Put(op.key, op.value);
-        break;
-      case Op::kDelete:
-        st = kv->Delete(op.key);
-        break;
-      case Op::kFlush:
-        st = kv->Flush();
-        break;
-      case Op::kCompact:
-        st = kv->Compact();
-        break;
-    }
-    if (st.ok()) {
-      if (op.kind == Op::kPut) out.committed[op.key] = op.value;
-      if (op.kind == Op::kDelete) out.committed[op.key] = std::nullopt;
-      continue;
-    }
-    if (CrashPoints::IsInjectedCrash(st)) {
-      out.crashed = true;
-      if (op.kind == Op::kPut || op.kind == Op::kDelete) {
-        out.has_in_doubt = true;
-        out.in_doubt_key = op.key;
-        auto it = out.committed.find(op.key);
-        out.in_doubt_old =
-            it == out.committed.end() ? std::nullopt : it->second;
-        out.in_doubt_new =
-            op.kind == Op::kPut ? OracleState(op.value) : std::nullopt;
-      }
-      return out;
-    }
-    out.error = st;
-    return out;
-  }
-  return out;
-}
-
 std::string Render(const OracleState& state) {
   return state.has_value() ? *state : std::string("<absent>");
 }
 
-/// Checks a recovered store against the shadow oracle. Resolves the in-doubt
-/// key to whichever legal state it landed in (folding it into `committed`),
-/// then requires exact agreement including a no-phantom full scan.
-Status VerifyRecovered(kv::LsmKv* kv, WorkloadOutcome* out) {
-  if (out->has_in_doubt) {
-    OracleState observed;
-    auto read = kv->Get(out->in_doubt_key);
-    if (read.ok()) {
-      observed = *read;
-    } else if (!read.status().IsNotFound()) {
-      return read.status();
-    }
-    if (observed != out->in_doubt_old && observed != out->in_doubt_new) {
-      return Status::Corruption(
-          "in-doubt key " + out->in_doubt_key + " reads " + Render(observed) +
-          "; legal states are " + Render(out->in_doubt_old) + " (old) / " +
-          Render(out->in_doubt_new) + " (new)");
-    }
-    out->committed[out->in_doubt_key] = observed;
-    out->has_in_doubt = false;
+/// One schedule's store: a fresh LsmKv directory on the sweep's shared DFS,
+/// with the shadow oracle of what the workload acknowledged.
+class LsmCrashWorld : public CrashSweepWorld {
+ public:
+  static Result<std::unique_ptr<CrashSweepWorld>> Open(
+      std::shared_ptr<fs::MiniDfs> dfs, std::string dir,
+      const std::vector<Op>* ops) {
+    std::unique_ptr<LsmCrashWorld> world(new LsmCrashWorld());
+    world->dfs_ = std::move(dfs);
+    world->dir_ = std::move(dir);
+    world->ops_ = ops;
+    DGF_ASSIGN_OR_RETURN(world->store_, world->OpenStore());
+    return std::unique_ptr<CrashSweepWorld>(std::move(world));
   }
-  for (const auto& [key, state] : out->committed) {
-    auto read = kv->Get(key);
-    if (state.has_value()) {
-      if (!read.ok()) {
-        return Status::Corruption("acknowledged key " + key + " lost: " +
-                                  read.status().ToString());
+
+  /// Applies the ops in order; the op that fails (crashed mid-apply) is, if
+  /// a mutation, in doubt: the store may legally hold its old or new state.
+  Status Run() override {
+    for (const Op& op : *ops_) {
+      Status st;
+      switch (op.kind) {
+        case Op::kPut:
+          st = store_->Put(op.key, op.value);
+          break;
+        case Op::kDelete:
+          st = store_->Delete(op.key);
+          break;
+        case Op::kFlush:
+          st = store_->Flush();
+          break;
+        case Op::kCompact:
+          st = store_->Compact();
+          break;
       }
-      if (*read != *state) {
-        return Status::Corruption("acknowledged key " + key + " reads " +
-                                  *read + ", expected " + *state);
+      const OracleState new_state =
+          op.kind == Op::kPut ? OracleState(op.value) : std::nullopt;
+      const bool mutation = op.kind == Op::kPut || op.kind == Op::kDelete;
+      if (st.ok()) {
+        if (mutation) committed_[op.key] = new_state;
+        continue;
       }
-    } else {
-      if (read.ok()) {
-        return Status::Corruption("deleted key " + key + " resurrected as " +
-                                  *read);
+      if (mutation) {
+        has_in_doubt_ = true;
+        in_doubt_key_ = op.key;
+        auto it = committed_.find(op.key);
+        in_doubt_old_ = it == committed_.end() ? std::nullopt : it->second;
+        in_doubt_new_ = new_state;
       }
-      if (!read.status().IsNotFound()) return read.status();
+      return st;
     }
+    return Status::OK();
   }
-  std::map<std::string, std::string> live;
-  for (const auto& [key, state] : out->committed) {
-    if (state.has_value()) live[key] = *state;
-  }
-  size_t seen = 0;
-  auto it = kv->NewIterator();
-  for (it->SeekToFirst(); it->Valid(); it->Next()) {
-    auto found = live.find(std::string(it->key()));
-    if (found == live.end()) {
-      return Status::Corruption("phantom key in scan: " +
-                                std::string(it->key()));
+
+  /// "Kills" the process (drops the store), reopens from disk, checks the
+  /// oracle, then requires the store to stay fully usable: new writes, a
+  /// flush, and a compaction (catches leaked run ids and stale files).
+  Status Recover() override {
+    store_.reset();
+    DGF_ASSIGN_OR_RETURN(store_, OpenStore());
+    DGF_RETURN_IF_ERROR(Verify());
+    const Status post = [&]() -> Status {
+      for (int i = 0; i < 12; ++i) {
+        const std::string key = "post-" + std::to_string(i);
+        const std::string value = "pv" + std::to_string(i);
+        DGF_RETURN_IF_ERROR(store_->Put(key, value));
+        committed_[key] = value;
+      }
+      DGF_RETURN_IF_ERROR(store_->Flush());
+      return store_->Compact();
+    }();
+    if (!post.ok()) {
+      return Status::Internal("store unusable after recovery: " +
+                              post.ToString());
     }
-    if (found->second != it->value()) {
-      return Status::Corruption("scan value mismatch for " + found->first);
+    const Status after = Verify();
+    if (!after.ok()) {
+      return Status::Corruption("after post-recovery writes: " +
+                                after.ToString());
     }
-    ++seen;
+    return Status::OK();
   }
-  if (seen != live.size()) {
-    return Status::Corruption("scan saw " + std::to_string(seen) + " of " +
-                              std::to_string(live.size()) + " live keys");
-  }
-  return Status::OK();
-}
 
-}  // namespace
+ private:
+  LsmCrashWorld() = default;
 
-Result<CrashSweepReport> RunLsmCrashSweep(const CrashSweepOptions& options) {
-  CrashSweepReport report;
-  const std::vector<Op> ops = MakeWorkload(options.seed, options.num_ops);
-  const std::string repro =
-      " [repro: dgf_difftest --crash-sweep --seed=" +
-      std::to_string(options.seed) + "]";
-
-  static std::atomic<int> counter{0};
-  const std::filesystem::path root =
-      std::filesystem::temp_directory_path() /
-      ("dgf_crashsweep_" + std::to_string(::getpid()) + "_" +
-       std::to_string(counter++));
-  std::filesystem::remove_all(root);
-  struct Remover {
-    std::filesystem::path path;
-    ~Remover() {
-      std::error_code ec;
-      std::filesystem::remove_all(path, ec);
-    }
-  } remover{root};
-
-  fs::MiniDfs::Options dfs_options;
-  dfs_options.root_dir = root.string();
-  dfs_options.block_size = 1 << 20;
-  DGF_ASSIGN_OR_RETURN(auto dfs, fs::MiniDfs::Open(dfs_options));
-
-  const auto open_store = [&](const std::string& dir) {
+  Result<std::unique_ptr<kv::LsmKv>> OpenStore() const {
     kv::LsmKv::Options kv_options;
-    kv_options.dfs = dfs;
-    kv_options.dir = dir;
+    kv_options.dfs = dfs_;
+    kv_options.dir = dir_;
     // Tiny memtable and run budget: the workload crosses flush, inline
     // compaction, and manifest boundaries many times over.
     kv_options.memtable_flush_bytes = 512;
     kv_options.max_runs = 2;
     return kv::LsmKv::Open(kv_options);
-  };
-
-  // Recording pass: count every boundary the workload crosses.
-  CrashPoints::StartRecording();
-  {
-    auto kv = open_store("/rec");
-    if (!kv.ok()) {
-      CrashPoints::Disarm();
-      return kv.status();
-    }
-    WorkloadOutcome out = RunWorkload(kv->get(), ops);
-    if (out.crashed || !out.error.ok()) {
-      CrashPoints::Disarm();
-      return Status::Internal("recording pass failed: " +
-                              out.error.ToString());
-    }
-  }
-  const std::vector<std::pair<std::string, int>> recorded =
-      CrashPoints::StopRecording();
-  report.points_covered = static_cast<int>(recorded.size());
-  for (const char* required : kRequiredPoints) {
-    const bool hit = std::any_of(
-        recorded.begin(), recorded.end(),
-        [&](const auto& entry) { return entry.first == required; });
-    if (!hit) {
-      report.failures.push_back("crash point never reached in recording: " +
-                                std::string(required) + repro);
-    }
   }
 
-  // Sweep: one kill-and-reopen schedule per recorded (point, occurrence).
-  int schedule_index = 0;
-  for (const auto& [point, count] : recorded) {
-    const int limit = std::min(count, options.max_occurrences_per_point);
-    for (int occurrence = 1; occurrence <= limit; ++occurrence) {
-      ++report.schedules_run;
-      const std::string tag = point + "#" + std::to_string(occurrence);
-      const std::string dir = "/sweep-" + std::to_string(schedule_index++);
-      auto opened = open_store(dir);
-      if (!opened.ok()) {
-        report.failures.push_back(tag + ": open failed: " +
-                                  opened.status().ToString() + repro);
-        continue;
+  /// Checks the store against the shadow oracle. Resolves the in-doubt key
+  /// to whichever legal state it landed in (folding it into `committed_`),
+  /// then requires exact agreement including a no-phantom full scan.
+  Status Verify() {
+    if (has_in_doubt_) {
+      OracleState observed;
+      auto read = store_->Get(in_doubt_key_);
+      if (read.ok()) {
+        observed = *read;
+      } else if (!read.status().IsNotFound()) {
+        return read.status();
       }
-      std::unique_ptr<kv::LsmKv> store = std::move(*opened);
-      CrashPoints::Arm(point, occurrence);
-      WorkloadOutcome out = RunWorkload(store.get(), ops);
-      const bool fired = CrashPoints::Fired();
-      CrashPoints::Disarm();
-      if (!out.error.ok()) {
-        report.failures.push_back(tag + ": workload error: " +
-                                  out.error.ToString() + repro);
-        continue;
+      if (observed != in_doubt_old_ && observed != in_doubt_new_) {
+        return Status::Corruption(
+            "in-doubt key " + in_doubt_key_ + " reads " + Render(observed) +
+            "; legal states are " + Render(in_doubt_old_) + " (old) / " +
+            Render(in_doubt_new_) + " (new)");
       }
-      if (!out.crashed || !fired) {
-        report.failures.push_back(tag + ": armed crash never fired" + repro);
-        continue;
-      }
-      if (options.verbose) {
-        std::fprintf(stderr, "[crash-sweep] %s: crashed, reopening\n",
-                     tag.c_str());
-      }
-      // "Kill" the process: discard all in-memory state, reopen from disk.
-      store.reset();
-      auto reopened = open_store(dir);
-      if (!reopened.ok()) {
-        report.failures.push_back(tag + ": reopen failed: " +
-                                  reopened.status().ToString() + repro);
-        continue;
-      }
-      store = std::move(*reopened);
-      if (Status st = VerifyRecovered(store.get(), &out); !st.ok()) {
-        report.failures.push_back(tag + ": " + st.ToString() + repro);
-        continue;
-      }
-      // The recovered store must remain fully usable: new writes, a flush,
-      // and a compaction (catches leaked run ids and stale on-disk files).
-      Status post = [&]() -> Status {
-        for (int i = 0; i < 12; ++i) {
-          const std::string key = "post-" + std::to_string(i);
-          const std::string value = "pv" + std::to_string(i);
-          DGF_RETURN_IF_ERROR(store->Put(key, value));
-          out.committed[key] = value;
+      committed_[in_doubt_key_] = observed;
+      has_in_doubt_ = false;
+    }
+    for (const auto& [key, state] : committed_) {
+      auto read = store_->Get(key);
+      if (state.has_value()) {
+        if (!read.ok()) {
+          return Status::Corruption("acknowledged key " + key + " lost: " +
+                                    read.status().ToString());
         }
-        DGF_RETURN_IF_ERROR(store->Flush());
-        return store->Compact();
-      }();
-      if (!post.ok()) {
-        report.failures.push_back(tag + ": store unusable after recovery: " +
-                                  post.ToString() + repro);
-        continue;
-      }
-      if (Status st = VerifyRecovered(store.get(), &out); !st.ok()) {
-        report.failures.push_back(tag + ": after post-recovery writes: " +
-                                  st.ToString() + repro);
+        if (*read != *state) {
+          return Status::Corruption("acknowledged key " + key + " reads " +
+                                    *read + ", expected " + *state);
+        }
+      } else {
+        if (read.ok()) {
+          return Status::Corruption("deleted key " + key +
+                                    " resurrected as " + *read);
+        }
+        if (!read.status().IsNotFound()) return read.status();
       }
     }
+    std::map<std::string, std::string> live;
+    for (const auto& [key, state] : committed_) {
+      if (state.has_value()) live[key] = *state;
+    }
+    size_t seen = 0;
+    auto it = store_->NewIterator();
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      auto found = live.find(std::string(it->key()));
+      if (found == live.end()) {
+        return Status::Corruption("phantom key in scan: " +
+                                  std::string(it->key()));
+      }
+      if (found->second != it->value()) {
+        return Status::Corruption("scan value mismatch for " + found->first);
+      }
+      ++seen;
+    }
+    if (seen != live.size()) {
+      return Status::Corruption("scan saw " + std::to_string(seen) + " of " +
+                                std::to_string(live.size()) + " live keys");
+    }
+    return Status::OK();
   }
-  return report;
+
+  std::shared_ptr<fs::MiniDfs> dfs_;
+  std::string dir_;
+  const std::vector<Op>* ops_ = nullptr;
+  std::unique_ptr<kv::LsmKv> store_;
+  std::map<std::string, OracleState> committed_;
+  bool has_in_doubt_ = false;
+  std::string in_doubt_key_;
+  OracleState in_doubt_old_;
+  OracleState in_doubt_new_;
+};
+
+}  // namespace
+
+Result<CrashSweepReport> RunLsmCrashSweep(const CrashSweepOptions& options) {
+  const TempDir root("dgf_crashsweep");
+  fs::MiniDfs::Options dfs_options;
+  dfs_options.root_dir = root.string();
+  dfs_options.block_size = 1 << 20;
+  DGF_ASSIGN_OR_RETURN(std::shared_ptr<fs::MiniDfs> dfs,
+                       fs::MiniDfs::Open(dfs_options));
+  const std::vector<Op> ops = MakeWorkload(options.seed, options.num_ops);
+
+  CrashSweep sweep;
+  sweep.required_points.assign(std::begin(kRequiredPoints),
+                               std::end(kRequiredPoints));
+  sweep.max_occurrences_per_point = options.max_occurrences_per_point;
+  sweep.repro = " [repro: dgf_difftest --crash-sweep --seed=" +
+                std::to_string(options.seed) + "]";
+  sweep.verbose = options.verbose;
+  int worlds = 0;
+  sweep.make_world = [&] {
+    // Every world gets its own store directory on the one DFS.
+    return LsmCrashWorld::Open(dfs, "/world-" + std::to_string(worlds++),
+                               &ops);
+  };
+  return RunCrashSweep(sweep);
 }
 
 }  // namespace dgf::testing

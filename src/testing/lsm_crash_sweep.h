@@ -2,21 +2,20 @@
 #define DGF_TESTING_LSM_CRASH_SWEEP_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/result.h"
+#include "testing/crash_point.h"
 
 namespace dgf::testing {
 
 /// Crash-consistency sweep over LsmKv.
 ///
-/// A recording pass runs a seeded Put/Delete/Flush/Compact workload once and
-/// enumerates every (crash point, occurrence) boundary it crosses. The sweep
-/// then replays the workload once per boundary with that boundary armed: the
-/// store "dies" there (the op errors, all in-memory state is discarded), is
-/// re-opened from disk, and the recovered contents are checked against a
-/// shadow oracle:
+/// Runs a seeded Put/Delete/Flush/Compact workload through RunCrashSweep
+/// (testing/crash_point.h), which records every `lsm.*` (crash point,
+/// occurrence) boundary it crosses and replays the workload once per
+/// boundary with that boundary armed: the store "dies" there (the op errors,
+/// all in-memory state is discarded), is re-opened from disk, and the
+/// recovered contents are checked against a shadow oracle:
 ///
 ///   * every acknowledged op survives exactly (durability),
 ///   * the one in-doubt op (the op that crashed) reads as either its old or
@@ -32,17 +31,6 @@ struct CrashSweepOptions {
   /// Cap per crash point so pathological schedules stay bounded.
   int max_occurrences_per_point = 32;
   bool verbose = false;
-};
-
-struct CrashSweepReport {
-  /// Distinct crash points the recording pass reached.
-  int points_covered = 0;
-  /// (point, occurrence) schedules replayed.
-  int schedules_run = 0;
-  /// Human-readable failures, each with a seed repro.
-  std::vector<std::string> failures;
-
-  bool ok() const { return failures.empty(); }
 };
 
 Result<CrashSweepReport> RunLsmCrashSweep(const CrashSweepOptions& options);

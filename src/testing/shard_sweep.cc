@@ -1,13 +1,10 @@
 #include "testing/shard_sweep.h"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <utility>
 
+#include "common/temp_dir.h"
 #include "dgf/dgf_builder.h"
 #include "kv/lsm_kv.h"
 #include "kv/mem_kv.h"
@@ -15,15 +12,6 @@
 
 namespace dgf::testing {
 namespace {
-
-struct ShardDirRemover {
-  std::filesystem::path path;
-  ~ShardDirRemover() {
-    if (path.empty()) return;
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-};
 
 constexpr int kTimeSlot = 2;  // MeterSchema: userId, regionId, time, ...
 
@@ -33,7 +21,7 @@ constexpr int kTimeSlot = 2;  // MeterSchema: userId, regionId, time, ...
 /// shared grid policy, and a live server. Member order is destruction order
 /// in reverse: the server drains before the index and DFS go away.
 struct ShardedCluster::Shard {
-  ShardDirRemover remover;
+  TempDir dir;
   std::shared_ptr<fs::MiniDfs> dfs;
   table::TableDesc meter;
   table::TableDesc user_info;
@@ -55,20 +43,14 @@ Result<std::unique_ptr<ShardedCluster>> ShardedCluster::Start(
       options.num_shards);
   const int num_shards = cluster->shard_map_.num_shards();
 
-  static std::atomic<int> counter{0};
   std::vector<coord::ShardEndpoint> endpoints;
   std::vector<coord::ShardEndpoint> replica_endpoints;
   for (int shard = 0; shard < num_shards; ++shard) {
     auto s = std::make_unique<Shard>();
-    std::filesystem::path dir =
-        std::filesystem::temp_directory_path() /
-        ("dgf_shard_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter++));
-    std::filesystem::remove_all(dir);
-    s->remover.path = dir;
+    s->dir = TempDir("dgf_shard");
 
     fs::MiniDfs::Options dfs_options;
-    dfs_options.root_dir = dir.string();
+    dfs_options.root_dir = s->dir.string();
     dfs_options.block_size = 16384;
     dfs_options.replication = options.replication;
     // Small chunks so laptop-scale files still span many checksum chunks.
@@ -207,7 +189,7 @@ const std::shared_ptr<fs::MiniDfs>& ShardedCluster::shard_dfs(int i) {
 }
 
 std::string ShardedCluster::shard_dir(int i) const {
-  return shards_[static_cast<size_t>(i)]->remover.path.string();
+  return shards_[static_cast<size_t>(i)]->dir.string();
 }
 
 const table::TableDesc& ShardedCluster::meter_desc() const {
@@ -228,7 +210,7 @@ void ShardedCluster::KillShardDaemon(int i) {
   s.dgf.reset();
   s.store.reset();
   s.dfs.reset();
-  // s.remover stays: the on-disk state survives for recovery checks and is
+  // s.dir stays: the on-disk state survives for recovery checks and is
   // cleaned up with the cluster.
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/encoding.h"
+#include "common/flags.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -162,6 +163,39 @@ TEST(StringUtilTest, ParseDoubleStrict) {
   EXPECT_DOUBLE_EQ(*ParseDouble("3.25"), 3.25);
   EXPECT_DOUBLE_EQ(*ParseDouble("-1e3"), -1000.0);
   EXPECT_FALSE(ParseDouble("3.25q").ok());
+}
+
+TEST(FlagsTest, ParseFlagMatchesValueAndBareForms) {
+  std::string value = "stale";
+  EXPECT_TRUE(ParseFlag("--port=4641", "--port", &value));
+  EXPECT_EQ(value, "4641");
+  EXPECT_TRUE(ParseFlag("--crash-sweep", "--crash-sweep", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_FALSE(ParseFlag("--ports=1", "--port", &value));
+  EXPECT_FALSE(ParseFlag("--por", "--port", &value));
+  EXPECT_FALSE(ParseFlag("query", "--port", &value));
+}
+
+TEST(FlagsTest, ParseNumberReadsOnlyWholeNumbers) {
+  int queries = 7;
+  EXPECT_FALSE(ParseNumber("abc", &queries));
+  EXPECT_FALSE(ParseNumber("12x", &queries));
+  EXPECT_FALSE(ParseNumber("", &queries));
+  EXPECT_FALSE(ParseNumber(" 3", &queries));
+  EXPECT_FALSE(ParseNumber("99999999999", &queries));  // overflows int
+  EXPECT_EQ(queries, 7);  // untouched by every rejected value
+  EXPECT_TRUE(ParseNumber("-12", &queries));
+  EXPECT_EQ(queries, -12);
+
+  uint64_t seed = 0;
+  EXPECT_FALSE(ParseNumber("-1", &seed));
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &seed));
+  EXPECT_EQ(seed, UINT64_MAX);
+
+  double deadline = 0;
+  EXPECT_TRUE(ParseNumber("2.5", &deadline));
+  EXPECT_DOUBLE_EQ(deadline, 2.5);
+  EXPECT_FALSE(ParseNumber("2.5s", &deadline));
 }
 
 TEST(StringUtilTest, HumanBytes) {

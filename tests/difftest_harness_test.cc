@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+
+#include "testing/crash_point.h"
 #include "testing/differential.h"
 #include "testing/lsm_crash_sweep.h"
 #include "testing/parser_fuzz.h"
@@ -44,6 +49,70 @@ TEST(DifftestHarnessTest, CrashSweepCoversEveryPointAndRecovers) {
   EXPECT_GT(report.schedules_run, 0);
   for (const auto& failure : report.failures) {
     ADD_FAILURE() << failure;
+  }
+}
+
+/// Toy world for the crash-sweep driver's failure paths: "toy.a" is crossed
+/// `a_steps` times, then "toy.b" twice, then "other.c" (outside the sweep's
+/// namespace) once. Recovery after a crash at the second toy.b step fails.
+class ToyCrashWorld : public CrashSweepWorld {
+ public:
+  explicit ToyCrashWorld(int a_steps) : a_steps_(a_steps) {}
+
+  Status Run() override {
+    for (int i = 0; i < a_steps_; ++i) DGF_RETURN_IF_ERROR(Step("toy.a"));
+    for (int i = 0; i < 2; ++i) {
+      DGF_RETURN_IF_ERROR(Step("toy.b"));
+      ++b_acked_;
+    }
+    return Step("other.c");
+  }
+
+  Status Recover() override {
+    if (b_acked_ == 1) return Status::Corruption("lost an acknowledged step");
+    return Status::OK();
+  }
+
+ private:
+  static Status Step(const char* point) {
+    DGF_CRASH_POINT(point);
+    return Status::OK();
+  }
+
+  int a_steps_;
+  int b_acked_ = 0;
+};
+
+TEST(DifftestHarnessTest, CrashSweepDriverReportsEveryFailureKind) {
+  CrashSweep sweep;
+  sweep.required_points = {"toy.a", "toy.b", "toy.never"};
+  sweep.repro = " [repro: toy]";
+  int worlds = 0;
+  sweep.make_world = [&]() -> Result<std::unique_ptr<CrashSweepWorld>> {
+    // The recording pass crosses toy.a three times, every replay only twice,
+    // so the schedule armed at toy.a#3 never fires.
+    return std::unique_ptr<CrashSweepWorld>(
+        std::make_unique<ToyCrashWorld>(worlds++ == 0 ? 3 : 2));
+  };
+  ASSERT_OK_AND_ASSIGN(CrashSweepReport report, RunCrashSweep(sweep));
+  EXPECT_EQ(report.points_covered, 2);  // other.c is outside "toy."
+  EXPECT_EQ(report.schedules_run, 5);   // toy.a#1..3, toy.b#1..2
+  EXPECT_EQ(worlds, 6);                 // recording + one per schedule
+
+  auto reported = [&](const std::string& text) {
+    return std::any_of(report.failures.begin(), report.failures.end(),
+                       [&](const std::string& failure) {
+                         return failure.find(text) != std::string::npos &&
+                                failure.find("[repro: toy]") !=
+                                    std::string::npos;
+                       });
+  };
+  EXPECT_TRUE(reported("toy.b#2: Corruption: lost an acknowledged step"));
+  EXPECT_TRUE(reported("never reached in recording: toy.never"));
+  EXPECT_TRUE(reported("toy.a#3: armed crash never fired"));
+  EXPECT_EQ(report.failures.size(), 3u);
+  for (const auto& failure : report.failures) {
+    EXPECT_EQ(failure.find("toy.b#1"), std::string::npos) << failure;
   }
 }
 

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -286,10 +284,7 @@ TEST(ReplicationTest, ColdReopenRebuildsNamespaceFromSurvivingStore) {
   // Managed manually: the DFS is closed, one store directory is destroyed
   // on disk, and a fresh MiniDfs must recover the namespace and repair the
   // lost copies from the survivor.
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("dgf_test_repl_cold_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
+  const TempDir dir("dgf_test_repl_cold");
   fs::MiniDfs::Options options = ReplicatedOptions(2);
   options.root_dir = dir.string();
 
@@ -301,7 +296,7 @@ TEST(ReplicationTest, ColdReopenRebuildsNamespaceFromSurvivingStore) {
     ASSERT_OK((*writer)->Append(content));
     ASSERT_OK((*writer)->Close());
   }
-  std::filesystem::remove_all(dir / "r0");
+  std::filesystem::remove_all(dir.path() / "r0");
 
   ASSERT_OK_AND_ASSIGN(auto dfs, fs::MiniDfs::Open(options));
   ASSERT_OK_AND_ASSIGN(auto status, dfs->Stat("/cold/a.txt"));
@@ -311,9 +306,6 @@ TEST(ReplicationTest, ColdReopenRebuildsNamespaceFromSurvivingStore) {
   EXPECT_EQ(repaired, 1u);
   EXPECT_OK(dfs->VerifyReplicas("/cold/a.txt"));
   EXPECT_EQ(ReadLocalCopy(dfs->StoreLocalPath(0, "/cold/a.txt")), content);
-
-  dfs.reset();
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 
+#include "common/temp_dir.h"
 #include "fs/mini_dfs.h"
 #include "testing/corruption.h"
 
@@ -49,30 +50,20 @@ class ScopedDfs {
     Start(tag, std::move(base));
   }
 
-  ~ScopedDfs() {
-    dfs_.reset();
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-
   const std::shared_ptr<fs::MiniDfs>& get() const { return dfs_; }
   fs::MiniDfs* operator->() const { return dfs_.get(); }
-  const std::filesystem::path& dir() const { return dir_; }
+  const std::filesystem::path& dir() const { return dir_.path(); }
 
  private:
   void Start(const std::string& tag, fs::MiniDfs::Options options) {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("dgf_test_" + tag + "_" + std::to_string(::getpid()) + "_" +
-            std::to_string(counter_++));
-    std::filesystem::remove_all(dir_);
+    dir_ = TempDir("dgf_test_" + tag);
     options.root_dir = dir_.string();
     auto dfs = fs::MiniDfs::Open(options);
     EXPECT_TRUE(dfs.ok()) << dfs.status().ToString();
     if (dfs.ok()) dfs_ = *dfs;
   }
 
-  static inline int counter_ = 0;
-  std::filesystem::path dir_;
+  TempDir dir_;  // declared first: removed after the DFS handle closes
   std::shared_ptr<fs::MiniDfs> dfs_;
 };
 
