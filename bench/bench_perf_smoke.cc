@@ -36,7 +36,6 @@ double TimedBuild(MeterBench& bench, int threads, int variant) {
   options.data_dir = StringPrintf("/warehouse/meterdata_smoke%02d", variant);
   options.job.cluster = bench.options().cluster;
   options.job.worker_threads = threads;
-  options.build_threads = threads;
   options.split_size = 1ULL << 20;
   auto store = std::make_shared<kv::MemKv>();
   Stopwatch watch;

@@ -108,7 +108,6 @@ void RunParallelBuild(MeterBench& bench) {
         StringPrintf("/warehouse/meterdata_dgf_par%02d", variant++);
     options.job.cluster = bench.options().cluster;
     options.job.worker_threads = threads;
-    options.build_threads = threads;
     // Small splits so the shard phase has enough tasks to spread.
     options.split_size = 1ULL << 20;
     auto store = std::make_shared<kv::MemKv>();

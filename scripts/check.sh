@@ -2,7 +2,8 @@
 # Repo-wide verification with one line of PASS/FAIL per stage:
 # tier-1 build + ctest, the differential oracle smoke suite, an ASan/UBSan
 # pass that re-runs both the unit tests and the harness, and a TSan pass
-# that runs the concurrency stress tests plus the threaded differential.
+# that runs the concurrency stress tests, the worker-pool tests and the
+# threaded differential.
 # Both sanitizer passes also run the query-server suite (dgf_server_tests),
 # the observability suite (dgf_obs_tests), the shard-coordinator suite
 # (dgf_coord_tests), and the replication suite (dgf_replication_tests); a
@@ -101,6 +102,10 @@ stage "tsan configure"   cmake -B build-tsan -S . -DDGF_SANITIZE=TSAN
 stage "tsan build"       cmake --build build-tsan -j "$JOBS"
 stage "tsan stress tests" ctest --test-dir build-tsan -j "$JOBS" \
   --output-on-failure -R 'ConcurrencyStress'
+# The compute pool directly: ParallelFor's width bound, error choice and
+# nesting past the pool size, plus the MapReduce phases built on it.
+stage "tsan pool tests"  ctest --test-dir build-tsan -j "$JOBS" \
+  --output-on-failure -R 'ThreadPool|ParallelFor|JobRunner'
 stage "tsan difftest"    ./build-tsan/src/dgf_difftest --threads=4 --seeds=tier1
 stage "tsan col fuzz"    ./build-tsan/src/dgf_difftest --col-fuzz --seed=37
 stage "tsan server tests" ./build-tsan/tests/dgf_server_tests

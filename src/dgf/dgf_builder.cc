@@ -1,7 +1,6 @@
 #include "dgf/dgf_builder.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -203,7 +202,7 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
     const table::Schema& schema, const SplittingPolicy& policy,
     const AggregatorList& aggs, const std::string& data_dir,
     table::FileFormat data_format, int batch_id, exec::JobRunner::Options job,
-    uint64_t split_size, int build_threads, kv::WriteBatch* out_batch) {
+    uint64_t split_size, kv::WriteBatch* out_batch) {
   std::vector<int> dim_fields;
   for (const DimensionPolicy& dim : policy.dims()) {
     DGF_ASSIGN_OR_RETURN(int field, schema.FieldIndex(dim.column));
@@ -213,8 +212,7 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
                        table::GetTableSplits(dfs, input, split_size));
   if (job.num_reducers <= 0) job.num_reducers = 8;
   const int num_writers = job.num_reducers;
-  int threads = build_threads > 0 ? build_threads : job.worker_threads;
-  if (threads <= 0) threads = 1;
+  const int threads = std::max(1, job.worker_threads);
 
   Stopwatch wall;
   exec::JobResult result;
@@ -222,35 +220,23 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
   result.num_reduce_tasks = num_writers;
   StageTimes& stages = result.stage_seconds;
 
-  // One pool serves every phase of the reorganization (shard, merge, slice
-  // write); WaitIdle() is the phase barrier. Reusing it keeps thread spawns
-  // off the per-flush cost of small append batches.
-  ThreadPool pool(threads);
+  // Every phase (shard, merge, slice write) fans out through ParallelFor;
+  // its return is the phase barrier.
 
   // ---- Shard phase: one task per split, no shared mutable state. ----
   std::vector<SplitShard> shards(splits.size());
-  std::vector<double> shard_seconds(splits.size(), 0.0);
-  std::mutex error_mu;
-  Status first_error;
+  result.local_task_seconds.assign(splits.size(), 0.0);
   {
     ScopedStage stage(&stages, "shard");
-    for (size_t i = 0; i < splits.size(); ++i) {
-      pool.Submit([&, i] {
-        Stopwatch task_watch;
-        Status st = ShardSplit(dfs, input, splits[i], policy, dim_fields, aggs,
-                               &shards[i]);
-        shard_seconds[i] = task_watch.ElapsedSeconds();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
+    DGF_RETURN_IF_ERROR(ParallelFor(splits.size(), threads, [&](size_t i) {
+      Stopwatch task_watch;
+      Status st = ShardSplit(dfs, input, splits[i], policy, dim_fields, aggs,
+                             &shards[i]);
+      result.local_task_seconds[i] = task_watch.ElapsedSeconds();
+      return st;
+    }));
   }
-  DGF_RETURN_IF_ERROR(first_error);
   DGF_CRASH_POINT("dgf.reorg.after_shard");
-  result.local_task_seconds = shard_seconds;
 
   ScopedStage sim_stage(&stages, "sim_model");
   const exec::ClusterConfig& cluster = job.cluster;
@@ -263,19 +249,8 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
                         static_cast<int64_t>(shard.records));
     result.counters.Add(exec::kCounterMapOutputRecords,
                         static_cast<int64_t>(shard.records));
-    // Under data_scale, one local task stands for the many 64 MB map tasks
-    // the full-size deployment would have run over the same data.
-    const double scaled_bytes =
-        cluster.data_scale * static_cast<double>(shard.bytes_read);
-    const double scaled_records =
-        cluster.data_scale * static_cast<double>(shard.records);
-    const auto virtual_tasks = static_cast<int64_t>(std::clamp(
-        std::ceil(scaled_bytes / cluster.virtual_split_bytes), 1.0, 1.0e6));
-    const double per_task =
-        cluster.task_launch_overhead_s +
-        scaled_bytes / virtual_tasks / (1e6 * cluster.scan_mb_per_s) +
-        scaled_records / virtual_tasks * cluster.record_cpu_s;
-    for (int64_t v = 0; v < virtual_tasks; ++v) map_costs.push_back(per_task);
+    exec::AppendMapTaskCosts(cluster, shard.bytes_read, shard.records,
+                             /*seeks=*/0, &map_costs);
   }
   result.simulated_map_seconds =
       exec::SimulateMakespan(map_costs, cluster.total_map_slots());
@@ -369,15 +344,10 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
       }
     }
     std::vector<std::vector<std::pair<std::string, KeyTotals>>> merged(ranges);
-    if (ranges == 1) {
-      merged[0] = merge_ranges(cuts[0], cuts[1]);
-    } else {
-      for (size_t p = 0; p < ranges; ++p) {
-        pool.Submit(
-            [&, p] { merged[p] = merge_ranges(cuts[p], cuts[p + 1]); });
-      }
-      pool.WaitIdle();
-    }
+    DGF_RETURN_IF_ERROR(ParallelFor(ranges, threads, [&](size_t p) {
+      merged[p] = merge_ranges(cuts[p], cuts[p + 1]);
+      return Status::OK();
+    }));
     size_t union_size = 0;
     for (const auto& part : merged) union_size += part.size();
     keys.reserve(union_size);
@@ -434,32 +404,24 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
       }
       bounds[static_cast<size_t>(num_writers)] = keys.size();
     }
-    for (int w = 0; w < num_writers; ++w) {
-      const size_t begin = bounds[static_cast<size_t>(w)];
-      const size_t end = bounds[static_cast<size_t>(w) + 1];
-      if (begin == end) continue;  // no file for an empty partition
+    DGF_RETURN_IF_ERROR(ParallelFor(outputs.size(), threads, [&](size_t w) {
+      const size_t begin = bounds[w];
+      const size_t end = bounds[w + 1];
+      if (begin == end) return Status::OK();  // no file for an empty partition
       for (size_t k = begin; k < end; ++k) {
-        partition_bytes[static_cast<size_t>(w)] += totals[k].bytes;
+        partition_bytes[w] += totals[k].bytes;
       }
       const std::string path =
           data_dir + "/" +
-          StringPrintf("part-b%03d-r%05d.%s", batch_id, w,
+          StringPrintf("part-b%03d-r%05d.%s", batch_id, static_cast<int>(w),
                        table::FileFormatExtension(data_format));
-      pool.Submit([&, w, begin, end, path] {
-        Stopwatch task_watch;
-        Status st =
-            WriteSlicePartition(dfs, schema, aggs, path, data_format, keys,
-                                begin, end, existing, shards,
-                                &outputs[static_cast<size_t>(w)]);
-        writer_seconds[static_cast<size_t>(w)] = task_watch.ElapsedSeconds();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
-    DGF_RETURN_IF_ERROR(first_error);
+      Stopwatch task_watch;
+      Status st = WriteSlicePartition(dfs, schema, aggs, path, data_format,
+                                      keys, begin, end, existing, shards,
+                                      &outputs[w]);
+      writer_seconds[w] = task_watch.ElapsedSeconds();
+      return st;
+    }));
   }
   DGF_CRASH_POINT("dgf.reorg.after_slices");
 
@@ -476,22 +438,9 @@ Result<exec::JobResult> DgfBuilder::RunReorganization(
                         static_cast<int64_t>(out.bytes_written));
     result.counters.Add("dgf.batch.bytes",
                         static_cast<int64_t>(out.batch.ApproximateBytes()));
-    // Like map tasks, a scaled-up writer stands for the many reducers the
-    // full-size job would have configured.
-    const double scaled_shuffle =
-        cluster.data_scale *
-        static_cast<double>(partition_bytes[static_cast<size_t>(w)]);
-    const double scaled_written =
-        cluster.data_scale * static_cast<double>(out.bytes_written);
-    const auto virtual_tasks = static_cast<int64_t>(std::clamp(
-        std::ceil((scaled_shuffle + scaled_written) /
-                  cluster.virtual_split_bytes),
-        1.0, 1.0e6));
-    const double per_task =
-        cluster.task_launch_overhead_s +
-        scaled_shuffle / virtual_tasks / (1e6 * cluster.shuffle_mb_per_s) +
-        scaled_written / virtual_tasks / (1e6 * cluster.scan_mb_per_s);
-    for (int64_t v = 0; v < virtual_tasks; ++v) reduce_costs.push_back(per_task);
+    exec::AppendReduceTaskCosts(cluster,
+                                partition_bytes[static_cast<size_t>(w)],
+                                out.bytes_written, &reduce_costs);
   }
   result.simulated_shuffle_reduce_seconds =
       exec::SimulateMakespan(reduce_costs, cluster.total_reduce_slots());
@@ -610,8 +559,7 @@ Result<std::unique_ptr<DgfIndex>> DgfBuilder::Build(
       exec::JobResult result,
       RunReorganization(dfs, store, base, base.schema, policy, aggs,
                         options.data_dir, options.data_format, /*batch_id=*/0,
-                        options.job, options.split_size, options.build_threads,
-                        &batch));
+                        options.job, options.split_size, &batch));
 
   batch.Put(kMetaPolicyKey, policy.Serialize());
   batch.Put(kMetaAggsKey, aggs.Serialize());
@@ -638,20 +586,19 @@ Result<std::unique_ptr<DgfIndex>> DgfBuilder::Build(
 
 Result<exec::JobResult> DgfBuilder::AppendStaged(
     DgfIndex* index, const table::TableDesc& batch, int batch_id,
-    exec::JobRunner::Options job, uint64_t split_size, int build_threads,
+    exec::JobRunner::Options job, uint64_t split_size,
     kv::WriteBatch* out_batch) {
   std::shared_ptr<const AggregatorList> aggs = index->aggregators();
   return RunReorganization(index->dfs(), index->store(), batch,
                            index->schema(), index->policy(), *aggs,
                            index->data_dir(), index->data_format(), batch_id,
-                           job, split_size, build_threads, out_batch);
+                           job, split_size, out_batch);
 }
 
 Result<exec::JobResult> DgfBuilder::Append(DgfIndex* index,
                                            const table::TableDesc& batch,
                                            exec::JobRunner::Options job,
-                                           uint64_t split_size,
-                                           int build_threads) {
+                                           uint64_t split_size) {
   // Serialize with other mutators (optimize, AddAggregation, other Appends):
   // the writers' read-merge-stage cycle relies on the committed GFU state
   // holding still until our publish.
@@ -667,7 +614,7 @@ Result<exec::JobResult> DgfBuilder::Append(DgfIndex* index,
   kv::WriteBatch staged;
   DGF_ASSIGN_OR_RETURN(exec::JobResult result,
                        AppendStaged(index, batch, batch_id, job, split_size,
-                                    build_threads, &staged));
+                                    &staged));
   staged.Put(kMetaBatchKey, std::to_string(batch_id + 1));
   DGF_CRASH_POINT("dgf.append.before_publish");
   // Atomic publish: a concurrent query pinned before this line sees none of

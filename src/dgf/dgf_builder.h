@@ -21,9 +21,12 @@ namespace dgf::core {
 /// each key's records contiguously as a Slice into a reorganized data file
 /// (merging partial headers in split order), and stage <GFUKey, GFUValue>
 /// into the key-value store. Per-dimension min/max cells are stored as
-/// metadata for partial-specified queries. The pipeline's output — slice
-/// bytes, headers, and KV batch — is identical for every build_threads
-/// value, including 1 (see Options::build_threads).
+/// metadata for partial-specified queries. Every phase fans out through
+/// ParallelFor at width `job.worker_threads`. The pipeline's output — slice
+/// bytes, headers, and KV batch — is identical for every width, including
+/// 1: sharding is per input split, writer partitions are cut from the sorted
+/// key union by record count, and all merges run in split order — none of
+/// which depends on scheduling.
 ///
 /// `Append` runs the same job over a batch of newly arrived data (the
 /// verified temporary files of Section 4.2), writing fresh Slice files and
@@ -51,16 +54,11 @@ class DgfBuilder {
     /// RCFile row groups (the reducer forces a group boundary per GFU).
     table::FileFormat data_format = table::FileFormat::kText;
     /// MiniMR settings; num_reducers defaults to 8 when left at 0 and sets
-    /// the number of slice files (writer partitions) per batch.
+    /// the number of slice files (writer partitions) per batch, and
+    /// worker_threads is the build's fan-out width.
     exec::JobRunner::Options job;
     /// Split size for reading the base table (0 = DFS block size).
     uint64_t split_size = 0;
-    /// Local worker threads for the build pipeline (shard + slice-writer
-    /// tasks). 0 = job.worker_threads. The output is result- and
-    /// byte-equivalent for every value: sharding is per input split, writer
-    /// partitions are cut from the sorted key union by record count, and all
-    /// merges run in split order — none of which depends on scheduling.
-    int build_threads = 0;
   };
 
   /// Reorganizes `base` into `options.data_dir` and fills `store` with the
@@ -78,8 +76,7 @@ class DgfBuilder {
   static Result<exec::JobResult> Append(DgfIndex* index,
                                         const table::TableDesc& batch,
                                         exec::JobRunner::Options job = {},
-                                        uint64_t split_size = 0,
-                                        int build_threads = 0);
+                                        uint64_t split_size = 0);
 
   /// Like Append, but stages every KV change into `out_batch` instead of
   /// publishing: slice files land on the DFS (unreferenced until publish)
@@ -91,7 +88,6 @@ class DgfBuilder {
                                               int batch_id,
                                               exec::JobRunner::Options job,
                                               uint64_t split_size,
-                                              int build_threads,
                                               kv::WriteBatch* out_batch);
 
  private:
@@ -106,7 +102,7 @@ class DgfBuilder {
       const table::Schema& schema, const SplittingPolicy& policy,
       const AggregatorList& aggs, const std::string& data_dir,
       table::FileFormat data_format, int batch_id, exec::JobRunner::Options job,
-      uint64_t split_size, int build_threads, kv::WriteBatch* out_batch);
+      uint64_t split_size, kv::WriteBatch* out_batch);
 
   /// Recomputes per-dimension min/max cell metadata from the stored keys
   /// plus the staged-but-unpublished GFU entries of `out_batch`, appending

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "dgf/dgf_input_format.h"
 #include "table/col_format.h"
 #include "table/rc_format.h"
@@ -26,8 +25,7 @@ struct RewriteTask {
   uint64_t bytes_rewritten = 0;
 };
 
-/// Rewrites one output file. Each task owns a disjoint entry range, so
-/// updating the entries' slice lists in place needs no synchronization.
+/// Rewrites one output file and points its entries' slice lists at it.
 Status RewriteFile(const std::shared_ptr<fs::MiniDfs>& dfs,
                    const table::Schema& schema, table::FileFormat format,
                    std::vector<std::pair<std::string, GfuValue>>* entries,
@@ -84,7 +82,7 @@ Status RewriteFile(const std::shared_ptr<fs::MiniDfs>& dfs,
 }  // namespace
 
 Result<SliceOptimizer::Stats> SliceOptimizer::Optimize(
-    DgfIndex* index, uint64_t target_file_bytes, int threads) {
+    DgfIndex* index, uint64_t target_file_bytes) {
   // Serialize with Append/AddAggregation/other optimize runs: the rewrite
   // reads every committed GFU entry and must publish against that same
   // state. Readers keep querying their pinned snapshots throughout.
@@ -124,10 +122,8 @@ Result<SliceOptimizer::Stats> SliceOptimizer::Optimize(
   //
   // The entry->file assignment is cut up front from the key-ordered entry
   // list, rotating when the accumulated pre-rewrite slice bytes reach
-  // `target_file_bytes`. That estimate stands in for the old "rotate once
-  // the writer's offset crosses the target" rule and makes the assignment a
-  // function of the committed state alone — which is what lets the files be
-  // rewritten by independent parallel tasks with identical output.
+  // `target_file_bytes`, so the layout is a function of the committed state
+  // alone.
   const table::FileFormat format = index->data_format();
   std::vector<RewriteTask> tasks;
   {
@@ -151,24 +147,9 @@ Result<SliceOptimizer::Stats> SliceOptimizer::Optimize(
     }
     tasks.back().end = entries.size();
   }
-  {
-    ThreadPool pool(threads > 0 ? threads : 1);
-    std::mutex error_mu;
-    Status first_error;
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      pool.Submit([&, t] {
-        Status st =
-            RewriteFile(dfs, index->schema(), format, &entries, &tasks[t]);
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
-    DGF_RETURN_IF_ERROR(first_error);
-  }
-  for (const RewriteTask& task : tasks) {
+  for (RewriteTask& task : tasks) {
+    DGF_RETURN_IF_ERROR(
+        RewriteFile(dfs, index->schema(), format, &entries, &task));
     stats.bytes_rewritten += task.bytes_rewritten;
   }
   stats.files_after = tasks.size();

@@ -35,14 +35,10 @@ class SliceOptimizer {
     uint64_t files_after = 0;
   };
 
-  /// Rewrites `index`'s data files; output files rotate at
-  /// `target_file_bytes`. With `threads` > 1 the output files are rewritten
-  /// by a worker pool, one task per file: the entry->file assignment is cut
-  /// deterministically from the key-ordered entry list before any writing
-  /// starts, so the rewritten layout is identical for every thread count.
+  /// Rewrites `index`'s data files on the calling thread; output files
+  /// rotate at `target_file_bytes`.
   static Result<Stats> Optimize(DgfIndex* index,
-                                uint64_t target_file_bytes = 256ULL << 20,
-                                int threads = 1);
+                                uint64_t target_file_bytes = 256ULL << 20);
 };
 
 }  // namespace dgf::core

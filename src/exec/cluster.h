@@ -1,6 +1,7 @@
 #ifndef DGF_EXEC_CLUSTER_H_
 #define DGF_EXEC_CLUSTER_H_
 
+#include <cstdint>
 #include <vector>
 
 namespace dgf::exec {
@@ -60,6 +61,23 @@ struct ClusterConfig {
 /// how both MiniMR and the HadoopDB engine turn per-task costs into a
 /// simulated cluster duration.
 double SimulateMakespan(const std::vector<double>& task_seconds, int slots);
+
+/// Appends the slot cost of one local map task that read `bytes_read` bytes
+/// and `records` records with `seeks` positional jumps. Under data_scale one
+/// local task stands for the many 64 MB map tasks the full-size deployment
+/// would have run over the same data, so it expands into that many equal
+/// virtual tasks and slot waves amortize as they really would.
+void AppendMapTaskCosts(const ClusterConfig& cluster, uint64_t bytes_read,
+                        uint64_t records, uint64_t seeks,
+                        std::vector<double>* task_costs);
+
+/// Appends the slot cost of one local reduce task that merged
+/// `shuffle_bytes` from the shuffle and wrote `bytes_written` to the DFS,
+/// expanded like AppendMapTaskCosts into the reducers the full-size job
+/// would have configured.
+void AppendReduceTaskCosts(const ClusterConfig& cluster, uint64_t shuffle_bytes,
+                           uint64_t bytes_written,
+                           std::vector<double>* task_costs);
 
 }  // namespace dgf::exec
 

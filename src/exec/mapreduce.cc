@@ -1,8 +1,6 @@
 #include "exec/mapreduce.h"
 
-#include <algorithm>
-#include <cmath>
-#include <atomic>
+#include <iterator>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -68,34 +66,21 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
   for (const auto& split : splits) {
     contexts.emplace_back(new MapContext(split));
   }
-  std::mutex error_mu;
-  Status first_error;
-  std::vector<double> map_task_seconds(splits.size(), 0.0);
-  {
-    ThreadPool pool(options_.worker_threads);
-    for (size_t i = 0; i < splits.size(); ++i) {
-      MapContext* ctx = contexts[i].get();
-      pool.Submit([&, ctx, i] {
+  result.local_task_seconds.assign(splits.size(), 0.0);
+  DGF_RETURN_IF_ERROR(ParallelFor(
+      splits.size(), options_.worker_threads, [&](size_t i) {
         Stopwatch task_watch;
         auto mapper = mapper_factory();
+        MapContext* ctx = contexts[i].get();
         Status st = mapper->Map(ctx->split(), ctx);
-        map_task_seconds[i] = task_watch.ElapsedSeconds();
-        if (!st.ok()) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (first_error.ok()) first_error = st;
-        }
-      });
-    }
-    pool.WaitIdle();
-  }
-  DGF_RETURN_IF_ERROR(first_error);
-  result.local_task_seconds = std::move(map_task_seconds);
+        result.local_task_seconds[i] = task_watch.ElapsedSeconds();
+        return st;
+      }));
 
   // Aggregate per-task accounting into counters and the cost model.
   const ClusterConfig& cluster = options_.cluster;
   std::vector<double> map_costs;
   map_costs.reserve(contexts.size());
-  uint64_t shuffle_bytes = 0;
   for (const auto& ctx : contexts) {
     result.counters.MergeFrom(ctx->counters_);
     result.counters.Add(kCounterMapInputBytes,
@@ -104,24 +89,8 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
                         static_cast<int64_t>(ctx->records_));
     result.counters.Add(kCounterMapOutputRecords,
                         static_cast<int64_t>(ctx->emitted_.size()));
-    // Under data_scale, one local task stands for the many 64 MB map tasks
-    // the full-size deployment would have run over the same data; expand it
-    // so slot waves amortize as they really would.
-    const double scaled_bytes =
-        cluster.data_scale * static_cast<double>(ctx->bytes_read_);
-    const double scaled_records =
-        cluster.data_scale * static_cast<double>(ctx->records_);
-    const auto virtual_tasks = static_cast<int64_t>(std::clamp(
-        std::ceil(scaled_bytes / cluster.virtual_split_bytes), 1.0, 1.0e6));
-    const double per_task =
-        cluster.task_launch_overhead_s +
-        scaled_bytes / virtual_tasks / (1e6 * cluster.scan_mb_per_s) +
-        scaled_records / virtual_tasks * cluster.record_cpu_s +
-        static_cast<double>(ctx->seeks_) * cluster.seek_cost_s / virtual_tasks;
-    for (int64_t v = 0; v < virtual_tasks; ++v) map_costs.push_back(per_task);
-    for (const auto& [key, value] : ctx->emitted_) {
-      shuffle_bytes += key.size() + value.size();
-    }
+    AppendMapTaskCosts(cluster, ctx->bytes_read_, ctx->records_, ctx->seeks_,
+                       &map_costs);
   }
   result.simulated_map_seconds =
       SimulateMakespan(map_costs, cluster.total_map_slots());
@@ -138,10 +107,8 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
     using Partition = std::map<std::string, std::vector<std::string>>;
     std::vector<std::vector<Partition>> local(contexts.size());
     std::vector<Partition> partitions(static_cast<size_t>(num_reducers));
-    {
-      ThreadPool pool(options_.worker_threads);
-      for (size_t i = 0; i < contexts.size(); ++i) {
-        pool.Submit([&, i] {
+    DGF_RETURN_IF_ERROR(ParallelFor(
+        contexts.size(), options_.worker_threads, [&](size_t i) {
           MapContext* ctx = contexts[i].get();
           local[i].resize(static_cast<size_t>(num_reducers));
           for (auto& [key, value] : ctx->emitted_) {
@@ -150,24 +117,21 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
             local[i][part][std::move(key)].push_back(std::move(value));
           }
           ctx->emitted_.clear();
-        });
-      }
-      pool.WaitIdle();
-      for (int r = 0; r < num_reducers; ++r) {
-        pool.Submit([&, r] {
-          Partition& merged = partitions[static_cast<size_t>(r)];
-          for (size_t i = 0; i < local.size(); ++i) {
-            for (auto& [key, values] : local[i][static_cast<size_t>(r)]) {
+          return Status::OK();
+        }));
+    DGF_RETURN_IF_ERROR(ParallelFor(
+        partitions.size(), options_.worker_threads, [&](size_t r) {
+          Partition& merged = partitions[r];
+          for (auto& parts : local) {
+            for (auto& [key, values] : parts[r]) {
               auto& dst = merged[key];
               dst.insert(dst.end(), std::make_move_iterator(values.begin()),
                          std::make_move_iterator(values.end()));
             }
-            local[i][static_cast<size_t>(r)].clear();
+            parts[r].clear();
           }
-        });
-      }
-      pool.WaitIdle();
-    }
+          return Status::OK();
+        }));
     local.clear();
 
     std::vector<std::unique_ptr<ReduceContext>> reduce_contexts;
@@ -182,33 +146,23 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
     }
     std::vector<double> reduce_task_seconds(static_cast<size_t>(num_reducers),
                                             0.0);
-    {
-      ThreadPool pool(options_.worker_threads);
-      for (int r = 0; r < num_reducers; ++r) {
-        pool.Submit([&, r] {
+    DGF_RETURN_IF_ERROR(ParallelFor(
+        reduce_contexts.size(), options_.worker_threads, [&](size_t r) {
           Stopwatch task_watch;
-          auto reducer = reducer_factory(r);
-          ReduceContext* ctx = reduce_contexts[static_cast<size_t>(r)].get();
+          auto reducer = reducer_factory(static_cast<int>(r));
+          ReduceContext* ctx = reduce_contexts[r].get();
           Status st = reducer->Start(ctx);
           if (st.ok()) {
-            for (const auto& [key, values] : partitions[static_cast<size_t>(r)]) {
+            for (const auto& [key, values] : partitions[r]) {
               st = reducer->Reduce(key, values, ctx);
               if (!st.ok()) break;
               ctx->counters().Add(kCounterReduceInputKeys, 1);
             }
           }
           if (st.ok()) st = reducer->Finish(ctx);
-          reduce_task_seconds[static_cast<size_t>(r)] =
-              task_watch.ElapsedSeconds();
-          if (!st.ok()) {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (first_error.ok()) first_error = st;
-          }
-        });
-      }
-      pool.WaitIdle();
-    }
-    DGF_RETURN_IF_ERROR(first_error);
+          reduce_task_seconds[r] = task_watch.ElapsedSeconds();
+          return st;
+        }));
     result.local_task_seconds.insert(result.local_task_seconds.end(),
                                      reduce_task_seconds.begin(),
                                      reduce_task_seconds.end());
@@ -217,24 +171,8 @@ Result<JobResult> JobRunner::Run(const std::vector<fs::FileSplit>& splits,
     reduce_costs.reserve(static_cast<size_t>(num_reducers));
     for (int r = 0; r < num_reducers; ++r) {
       ReduceContext* ctx = reduce_contexts[static_cast<size_t>(r)].get();
-      // Like map tasks, a scaled-up reducer stands for the many reducers the
-      // full-size job would have configured; expand it into virtual tasks.
-      const double scaled_shuffle =
-          cluster.data_scale *
-          static_cast<double>(partition_bytes[static_cast<size_t>(r)]);
-      const double scaled_written =
-          cluster.data_scale * static_cast<double>(ctx->bytes_written_);
-      const auto virtual_tasks = static_cast<int64_t>(std::clamp(
-          std::ceil((scaled_shuffle + scaled_written) /
-                    cluster.virtual_split_bytes),
-          1.0, 1.0e6));
-      const double per_task =
-          cluster.task_launch_overhead_s +
-          scaled_shuffle / virtual_tasks / (1e6 * cluster.shuffle_mb_per_s) +
-          scaled_written / virtual_tasks / (1e6 * cluster.scan_mb_per_s);
-      for (int64_t v = 0; v < virtual_tasks; ++v) {
-        reduce_costs.push_back(per_task);
-      }
+      AppendReduceTaskCosts(cluster, partition_bytes[static_cast<size_t>(r)],
+                            ctx->bytes_written_, &reduce_costs);
       result.counters.MergeFrom(ctx->counters_);
       for (auto& kv : ctx->output_) result.reduce_output.push_back(std::move(kv));
     }

@@ -22,7 +22,7 @@
 namespace dgf::testing {
 namespace {
 
-/// One built engine variant: format x build_threads over the same dataset.
+/// One built engine variant: format x build width over the same dataset.
 struct BuiltIndex {
   std::string data_dir;
   std::shared_ptr<kv::KvStore> store;
@@ -176,13 +176,11 @@ Result<BuiltIndex> BuildVariant(const SweepWorld& world,
   options.job.num_reducers = world.num_reducers;
   options.job.worker_threads = threads;
   options.split_size = 4096;
-  options.build_threads = threads;
   DGF_ASSIGN_OR_RETURN(
       built.index,
       core::DgfBuilder::Build(world.dfs, built.store, world.base, options));
   DGF_RETURN_IF_ERROR(core::DgfBuilder::Append(built.index.get(), world.append,
-                                               options.job, options.split_size,
-                                               threads)
+                                               options.job, options.split_size)
                           .status());
   return built;
 }

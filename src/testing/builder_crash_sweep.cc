@@ -230,9 +230,8 @@ core::DgfBuilder::Options BuildCrashWorld::BuildOptions() const {
   options.precompute = {"sum(powerConsumed)", "count(*)"};
   options.data_dir = kDataDir;
   options.job.num_reducers = 2;
-  options.job.worker_threads = 1;
+  options.job.worker_threads = 1;  // crash points are single-threaded by design
   options.split_size = 4096;
-  options.build_threads = 1;  // crash points are single-threaded by design
   return options;
 }
 
@@ -244,8 +243,7 @@ Status BuildCrashWorld::Run() {
   for (const table::TableDesc& batch : batches_) {
     DGF_RETURN_IF_ERROR(core::DgfBuilder::Append(index.get(), batch,
                                                  AppendJob(),
-                                                 /*split_size=*/4096,
-                                                 /*build_threads=*/1)
+                                                 /*split_size=*/4096)
                             .status());
     ++appends_acked_;
   }
@@ -328,8 +326,7 @@ Status BuildCrashWorld::Recover() {
   DGF_ASSIGN_OR_RETURN(auto index,
                        core::DgfIndex::Open(dfs_, store_, base_.schema));
   DGF_RETURN_IF_ERROR(core::DgfBuilder::Append(index.get(), recover_,
-                                               AppendJob(), /*split_size=*/4096,
-                                               /*build_threads=*/1)
+                                               AppendJob(), /*split_size=*/4096)
                           .status());
   DGF_RETURN_IF_ERROR(CollectLines(recover_config_, &expected));
   DGF_ASSIGN_OR_RETURN(rows, ScanIndexRows(dfs_, store_.get(), base_.schema,

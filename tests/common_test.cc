@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/encoding.h"
@@ -244,18 +247,91 @@ TEST(RandomTest, ZipfSkewsTowardsSmallValues) {
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.WaitIdle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit([&count] { count.fetch_add(1); });
+    }
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not hang
+TEST(ParallelForTest, RunsEachIndexExactlyOnce) {
+  std::vector<std::atomic<int>> hits(1000);
+  ASSERT_OK(ParallelFor(hits.size(), 4, [&](size_t i) {
+    hits[i].fetch_add(1);
+    return Status::OK();
+  }));
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForTest, EmptyRangeIsOk) {
+  bool called = false;
+  EXPECT_OK(ParallelFor(0, 4, [&](size_t) {
+    called = true;
+    return Status::OK();
+  }));
+  EXPECT_FALSE(called);
+}
+
+TEST(ParallelForTest, ReturnsLowestFailingIndexError) {
+  std::atomic<int> ran{0};
+  const Status st = ParallelFor(64, 8, [&](size_t i) {
+    ran.fetch_add(1);
+    if (i == 5 || i == 20 || i == 63) {
+      return Status::IOError("index " + std::to_string(i));
+    }
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.IsIOError());
+  EXPECT_EQ(st.message(), "index 5");
+  EXPECT_EQ(ran.load(), 64);  // a failure does not skip the other indices
+}
+
+TEST(ParallelForTest, ConcurrencyNeverExceedsParallelism) {
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  ASSERT_OK(ParallelFor(200, 3, [&](size_t) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    running.fetch_sub(1);
+    return Status::OK();
+  }));
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 3);
+}
+
+TEST(ParallelForTest, ParallelismOneRunsOnCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  ASSERT_OK(ParallelFor(50, 1, [&](size_t) {
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+    return Status::OK();
+  }));
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ParallelForTest, NestedFanOutWiderThanPoolCompletes) {
+  // Outer x inner width is far past the pool's max(8, hardware) workers, and
+  // every outer task blocks in its own inner ParallelFor: a fan-out that
+  // waited for queued helpers to start would deadlock here.
+  const size_t outer = 32;
+  const size_t inner = 64;
+  std::atomic<size_t> leaves{0};
+  ASSERT_OK(ParallelFor(outer, static_cast<int>(outer), [&](size_t) {
+    return ParallelFor(inner, static_cast<int>(inner), [&](size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      leaves.fetch_add(1);
+      return Status::OK();
+    });
+  }));
+  EXPECT_EQ(leaves.load(), outer * inner);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "exec/cluster.h"
@@ -165,6 +166,36 @@ TEST(ClusterConfigTest, SlotArithmetic) {
   ClusterConfig config;
   EXPECT_EQ(config.total_map_slots(), 28 * 5);
   EXPECT_EQ(config.total_reduce_slots(), 28 * 3);
+}
+
+TEST(ClusterCostTest, MapTaskExpandsIntoVirtualSplits) {
+  ClusterConfig config;
+  std::vector<double> costs = {7.0};  // appended to, never cleared
+  AppendMapTaskCosts(config, 1'000'000, 1000, 6, &costs);
+  EXPECT_EQ(costs.size(), 2u);  // 1 MB at scale 1 stays one task
+
+  // 200 MB of scaled input crosses three 64 MiB virtual splits: the task
+  // becomes three equal tasks, each charged a launch plus a third of the
+  // scan, record and seek charges.
+  config.data_scale = 200;
+  costs.clear();
+  AppendMapTaskCosts(config, 1'000'000, 1000, 6, &costs);
+  ASSERT_EQ(costs.size(), 3u);
+  const double per_task = 2.0 + 2e8 / 3 / 6e6 + 2e5 / 3 * 2e-8 + 6 * 0.005 / 3;
+  for (double cost : costs) EXPECT_DOUBLE_EQ(cost, per_task);
+  EXPECT_NEAR(per_task, 13.12244, 1e-5);
+}
+
+TEST(ClusterCostTest, ReduceTaskExpandsIntoVirtualReducers) {
+  ClusterConfig config;
+  config.data_scale = 200;
+  std::vector<double> costs;
+  // 200 MB shuffled + 100 MB written (scaled) spans five 64 MiB units.
+  AppendReduceTaskCosts(config, 1'000'000, 500'000, &costs);
+  ASSERT_EQ(costs.size(), 5u);
+  const double per_task = 2.0 + 2e8 / 5 / 12e6 + 1e8 / 5 / 6e6;
+  for (double cost : costs) EXPECT_DOUBLE_EQ(cost, per_task);
+  EXPECT_NEAR(per_task, 8.66667, 1e-5);
 }
 
 }  // namespace
