@@ -97,6 +97,39 @@ void BM_MemKvGet(benchmark::State& state) {
 }
 BENCHMARK(BM_MemKvGet);
 
+// The first pin after a publish: a store of 90k 300-byte entries (a
+// GFU-store of an ingest shard), one 440-entry batch overwriting a stride of
+// it (a new day's appended GFUs), then GetSnapshot. Only the snapshot is
+// timed; it is what a query pays to pin the index right after an append.
+void BM_MemKvSnapshotAfterPublish(benchmark::State& state) {
+  constexpr int64_t kEntries = 90000;
+  constexpr int64_t kBatch = 440;
+  kv::MemKv store;
+  const std::string value(300, 'v');
+  kv::WriteBatch load;
+  for (int64_t i = 0; i < kEntries; ++i) {
+    std::string key;
+    PutOrderedInt64(&key, i);
+    load.Put(key, value);
+  }
+  (void)store.ApplyBatch(load);
+  int64_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    kv::WriteBatch batch;
+    for (int64_t i = 0; i < kBatch; ++i) {
+      std::string key;
+      PutOrderedInt64(&key, (next + i * (kEntries / kBatch)) % kEntries);
+      batch.Put(key, value);
+    }
+    ++next;
+    (void)store.ApplyBatch(batch);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(store.GetSnapshot());
+  }
+}
+BENCHMARK(BM_MemKvSnapshotAfterPublish);
+
 void BM_BTreeInsert(benchmark::State& state) {
   hadoopdb::BTree tree;
   Random rng(4);

@@ -2,8 +2,8 @@
 # Repo-wide verification with one line of PASS/FAIL per stage:
 # tier-1 build + ctest, the differential oracle smoke suite, an ASan/UBSan
 # pass that re-runs both the unit tests and the harness, and a TSan pass
-# that runs the concurrency stress tests, the worker-pool tests and the
-# threaded differential.
+# that runs the concurrency stress tests, the worker-pool tests, the KV
+# conformance suite and the threaded differential.
 # Both sanitizer passes also run the query-server suite (dgf_server_tests),
 # the observability suite (dgf_obs_tests), the shard-coordinator suite
 # (dgf_coord_tests), and the replication suite (dgf_replication_tests); a
@@ -106,6 +106,10 @@ stage "tsan stress tests" ctest --test-dir build-tsan -j "$JOBS" \
 # nesting past the pool size, plus the MapReduce phases built on it.
 stage "tsan pool tests"  ctest --test-dir build-tsan -j "$JOBS" \
   --output-on-failure -R 'ThreadPool|ParallelFor|JobRunner'
+# The KV stores' snapshot contract: pins raced by batches (MemKv builds its
+# runs outside the readers' lock and edits an unshared delta in place).
+stage "tsan kv tests"    ctest --test-dir build-tsan -j "$JOBS" \
+  --output-on-failure -R 'KvConformance'
 stage "tsan difftest"    ./build-tsan/src/dgf_difftest --threads=4 --seeds=tier1
 stage "tsan col fuzz"    ./build-tsan/src/dgf_difftest --col-fuzz --seed=37
 stage "tsan server tests" ./build-tsan/tests/dgf_server_tests

@@ -1,7 +1,6 @@
 #ifndef DGF_KV_MEM_KV_H_
 #define DGF_KV_MEM_KV_H_
 
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,12 +13,22 @@ namespace dgf::kv {
 
 /// In-memory ordered KV store.
 ///
-/// The default index store for unit tests and small benches; iterators and
-/// snapshots take a point-in-time copy of the map, so reads are stable under
-/// concurrent writes (matching the snapshot behaviour DGFIndex expects).
-/// The materialized copy is cached behind a shared_ptr and invalidated on
-/// mutation, so repeated GetSnapshot/NewIterator calls between writes share
-/// one immutable vector instead of copying the map each time.
+/// The default index store for unit tests, small benches and the serving
+/// worlds. The data lives in two sorted runs held behind shared_ptr: a
+/// *base* run of live entries and a small *delta* run of newer writes in
+/// which the last write of a key wins and deletes stay as tombstones. A
+/// read looks in the delta first and falls back to the base.
+///
+/// Snapshots and iterators copy the two pointers, so pinning costs the same
+/// whether or not a write just landed, and a pinned view stays valid however
+/// the store moves on. `ApplyBatch` sorts the batch, merges it into a new
+/// delta, and once that delta holds more than 1/4 as many entries as the
+/// base, folds it into a new base (tombstones drop out there). Both runs are
+/// built outside the mutex readers take; the swap and the version bump are
+/// the only work under it, and the replaced runs are freed after it is
+/// released. A single `Put`/`Delete` edits the delta in place while no
+/// snapshot or iterator has pinned it. A batch into an empty store becomes
+/// the base directly.
 class MemKv : public KvStore {
  public:
   MemKv() = default;
@@ -37,16 +46,31 @@ class MemKv : public KvStore {
   Result<uint64_t> ApproximateSizeBytes() override;
 
  private:
-  using Materialized = std::vector<std::pair<std::string, std::string>>;
+  // Sorted by key, keys unique; a null value is a tombstone (delta only).
+  using Run = std::vector<
+      std::pair<std::string, std::shared_ptr<const std::string>>>;
 
-  // Returns the cached sorted copy of data_, rebuilding it if a mutation
-  // invalidated it. Caller must hold mu_.
-  std::shared_ptr<const Materialized> MaterializedLocked();
+  struct Pinned {
+    std::shared_ptr<const Run> base;
+    std::shared_ptr<const Run> delta;
+    uint64_t version;
+  };
 
-  std::mutex mu_;
-  std::map<std::string, std::string> data_;
+  // Applies `writes` (a sorted Run) as one publish.
+  void Write(Run writes);
+  // Swaps in new runs under mu_; the replaced runs are freed on return.
+  // Caller holds write_mu_.
+  void Install(std::shared_ptr<Run> base, std::shared_ptr<Run> delta,
+               bool bump_version);
+  // Copies both run pointers under mu_ and marks the delta shared.
+  Pinned Pin();
+
+  std::mutex write_mu_;  // serializes writers while they build new runs
+  std::mutex mu_;  // guards the fields below (writers also hold write_mu_)
+  std::shared_ptr<Run> base_ = std::make_shared<Run>();   // no tombstones
+  std::shared_ptr<Run> delta_ = std::make_shared<Run>();
+  bool delta_pinned_ = false;  // a snapshot or iterator may share delta_
   uint64_t version_ = 0;
-  std::shared_ptr<const Materialized> materialized_;  // null after a mutation
 };
 
 }  // namespace dgf::kv

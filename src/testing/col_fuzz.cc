@@ -139,14 +139,6 @@ std::string PlainStringPayload(int count) {
   return payload;
 }
 
-std::string PlainDoublePayload(int count) {
-  std::string payload;
-  for (int i = 0; i < count; ++i) {
-    PutLengthPrefixed(&payload, std::to_string(i) + ".5");
-  }
-  return payload;
-}
-
 std::string Fixed64Payload(int count) {
   std::string payload;
   for (int i = 0; i < count; ++i) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -207,6 +209,205 @@ TEST_P(KvConformanceTest, MultiGetMatchesGetRandomized) {
       EXPECT_EQ(*results[i], want->second) << keys[i];
     }
   }
+}
+
+// Checks `snapshot` against `model` through Get and MultiGet over the keys
+// k0..k<key_space - 1>, a full scan, and a Seek to `seek_target`.
+void ExpectSnapshotMatches(const KvSnapshot& snapshot,
+                           const std::map<std::string, std::string>& model,
+                           int key_space, const std::string& seek_target) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < key_space; ++i) keys.push_back("k" + std::to_string(i));
+  auto multi = snapshot.MultiGet(keys);
+  ASSERT_EQ(multi.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto got = snapshot.Get(keys[i]);
+    auto want = model.find(keys[i]);
+    if (want == model.end()) {
+      EXPECT_TRUE(got.status().IsNotFound()) << keys[i];
+      EXPECT_TRUE(multi[i].status().IsNotFound()) << keys[i];
+    } else {
+      ASSERT_TRUE(got.ok()) << keys[i] << ": " << got.status().ToString();
+      EXPECT_EQ(*got, want->second) << keys[i];
+      ASSERT_TRUE(multi[i].ok()) << keys[i];
+      EXPECT_EQ(*multi[i], want->second) << keys[i];
+    }
+  }
+  auto it = snapshot.NewIterator();
+  auto want = model.begin();
+  for (it->SeekToFirst(); it->Valid(); it->Next(), ++want) {
+    ASSERT_NE(want, model.end());
+    EXPECT_EQ(it->key(), want->first);
+    EXPECT_EQ(it->value(), want->second);
+  }
+  EXPECT_EQ(want, model.end());
+  it->Seek(seek_target);
+  auto bound = model.lower_bound(seek_target);
+  if (bound == model.end()) {
+    EXPECT_FALSE(it->Valid()) << seek_target;
+  } else {
+    ASSERT_TRUE(it->Valid()) << seek_target;
+    EXPECT_EQ(it->key(), bound->first) << seek_target;
+  }
+}
+
+// Snapshots pinned between overwrites, deletes, batches, folds (MemKv) and
+// flushes/compactions (LsmKv) keep showing the std::map copied at pin time.
+TEST_P(KvConformanceTest, SnapshotIsolatedFromLaterWrites) {
+  auto fixture = MakeStore(GetParam(), "snap");
+  auto& store = *fixture.store;
+  constexpr int kKeys = 300;
+  struct Pin {
+    std::shared_ptr<const KvSnapshot> snapshot;
+    std::map<std::string, std::string> model;
+    uint64_t version;
+  };
+  std::vector<Pin> pins;
+  std::map<std::string, std::string> model;
+  Random rng(31);
+  auto random_key = [&] { return "k" + std::to_string(rng.Uniform(kKeys)); };
+  auto random_value = [&] { return "v" + std::to_string(rng.Next() % 100000); };
+  auto check_pins = [&] {
+    for (const Pin& pin : pins) {
+      EXPECT_EQ(pin.snapshot->version(), pin.version);
+      ExpectSnapshotMatches(*pin.snapshot, pin.model, kKeys, random_key());
+    }
+  };
+
+  for (int op = 0; op < 3000; ++op) {
+    const uint64_t choice = rng.Uniform(10);
+    if (choice < 5) {
+      const std::string key = random_key();
+      const std::string value = random_value();
+      ASSERT_OK(store.Put(key, value));
+      model[key] = value;
+    } else if (choice < 7) {
+      const std::string key = random_key();
+      ASSERT_OK(store.Delete(key));
+      model.erase(key);
+    } else {
+      // Up to 40 writes; keys repeat within a batch and the last one wins.
+      WriteBatch batch;
+      const uint64_t writes = 1 + rng.Uniform(40);
+      for (uint64_t i = 0; i < writes; ++i) {
+        const std::string key = random_key();
+        if (rng.Uniform(4) == 0) {
+          batch.Delete(key);
+          model.erase(key);
+        } else {
+          const std::string value = random_value();
+          batch.Put(key, value);
+          model[key] = value;
+        }
+      }
+      const uint64_t before = store.version();
+      ASSERT_OK(store.ApplyBatch(batch));
+      EXPECT_EQ(store.version(), before + 1);
+    }
+    if (op % 50 == 0) {
+      const uint64_t version = store.version();
+      pins.push_back({store.GetSnapshot(), model, version});
+    }
+    if (op % 500 == 499) check_pins();
+  }
+
+  // A batch that writes one key twice, and one that puts then deletes a key
+  // (and deletes then puts another).
+  const uint64_t version = store.version();
+  pins.push_back({store.GetSnapshot(), model, version});
+  WriteBatch twice;
+  twice.Put("k_twice", "first");
+  twice.Put("k_twice", "second");
+  ASSERT_OK(store.ApplyBatch(twice));
+  model["k_twice"] = "second";
+  EXPECT_EQ(*store.Get("k_twice"), "second");
+  pins.push_back({store.GetSnapshot(), model, version + 1});
+
+  WriteBatch flip;
+  flip.Put("k_gone", "x");
+  flip.Delete("k_gone");
+  flip.Delete("k_twice");
+  flip.Put("k_twice", "third");
+  ASSERT_OK(store.ApplyBatch(flip));
+  model["k_twice"] = "third";
+  EXPECT_TRUE(store.Get("k_gone").status().IsNotFound());
+  EXPECT_EQ(*store.Get("k_twice"), "third");
+  EXPECT_EQ(store.version(), version + 2);
+  pins.push_back({store.GetSnapshot(), model, version + 2});
+
+  for (size_t i = 1; i < pins.size(); ++i) {
+    EXPECT_LE(pins[i - 1].version, pins[i].version);
+  }
+  check_pins();
+}
+
+// Readers racing an appender see each batch entirely or not at all: batch b
+// sets every "c" key to b and swaps the one marker key "n<b-1>" for "n<b>",
+// so a torn view shows mixed values or zero or two markers. Each publish
+// bumps the version once, so the version pins the batch a snapshot shows.
+TEST_P(KvConformanceTest, ConcurrentSnapshotsSeeWholeBatches) {
+  auto fixture = MakeStore(GetParam(), "atomic");
+  auto& store = *fixture.store;
+  constexpr int kKeys = 16;
+  constexpr int kBatches = 200;
+  auto apply = [&](int b) {
+    WriteBatch batch;
+    const std::string value = StringPrintf("%06d", b);
+    for (int i = 0; i < kKeys; ++i) batch.Put(StringPrintf("c%02d", i), value);
+    if (b > 0) batch.Delete(StringPrintf("n%06d", b - 1));
+    batch.Put(StringPrintf("n%06d", b), value);
+    return store.ApplyBatch(batch);
+  };
+  ASSERT_OK(apply(0));
+  const uint64_t first_version = store.version();
+
+  // Returns a description of the first torn view this reader saw.
+  std::atomic<bool> done{false};
+  auto reader = [&]() -> std::string {
+    uint64_t last_version = 0;
+    int views = 0;
+    while (!done.load() || views == 0) {
+      auto snapshot = store.GetSnapshot();
+      const uint64_t version = snapshot->version();
+      if (version < last_version) return "version went backwards";
+      last_version = version;
+      const std::string want =
+          StringPrintf("%06d", static_cast<int>(version - first_version));
+      int c_keys = 0;
+      std::vector<std::string> markers;
+      auto it = snapshot->NewIterator();
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        if (it->value() != want) {
+          return "v" + std::to_string(version) + ": " +
+                 std::string(it->key()) + "=" + std::string(it->value()) +
+                 " want " + want;
+        }
+        if (it->key()[0] == 'c') ++c_keys;
+        if (it->key()[0] == 'n') markers.emplace_back(it->key());
+      }
+      if (c_keys != kKeys || markers.size() != 1 || markers[0] != "n" + want) {
+        return "v" + std::to_string(version) + ": " + std::to_string(c_keys) +
+               " c keys, " + std::to_string(markers.size()) + " markers";
+      }
+      auto marker = snapshot->Get("n" + want);
+      if (!marker.ok() || *marker != want) return "marker Get disagrees";
+      ++views;
+    }
+    return "";
+  };
+  std::string torn[2];
+  std::thread readers[2];
+  for (int r = 0; r < 2; ++r) {
+    readers[r] = std::thread([&, r] { torn[r] = reader(); });
+  }
+  Status applied;
+  for (int b = 1; b < kBatches && applied.ok(); ++b) applied = apply(b);
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  ASSERT_OK(applied);
+  EXPECT_EQ(torn[0], "");
+  EXPECT_EQ(torn[1], "");
+  EXPECT_EQ(store.version(), first_version + kBatches - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStores, KvConformanceTest,
